@@ -1,5 +1,5 @@
 .PHONY: all build test bench-smoke bench-micro bench-bnb bench-service \
-	bench-profile bench-colgen doc check clean
+	bench-profile bench-colgen doc check loc clean
 
 all: build
 
@@ -83,6 +83,14 @@ doc:
 
 check: build test doc bench-smoke bench-micro bench-bnb bench-service \
 	bench-profile bench-colgen
+
+# Source size: lines of .ml + .mli per top-level tree, the measure the
+# code-deletion targets are stated in.
+loc:
+	@for d in lib test bench bin; do \
+	  printf '%-6s %6d\n' $$d \
+	    "$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"; \
+	done
 
 clean:
 	dune clean

@@ -133,11 +133,6 @@ let to_string t =
     (sorted_keys t.hists);
   Buffer.contents buf
 
-(* Non-finite numbers encode as strings, the same convention as the
-   solver outcome JSON, so documents round-trip exactly. *)
-let json_of_float f =
-  if Float.is_finite f then Json.Num f else Json.Str (string_of_float f)
-
 let to_json t =
   let counters =
     List.map
@@ -147,7 +142,7 @@ let to_json t =
   let gauges =
     List.map
       (fun name ->
-        (name, json_of_float (Option.value (gauge t name) ~default:nan)))
+        (name, Json.of_float (Option.value (gauge t name) ~default:nan)))
       (sorted_keys t.gauges)
   in
   let hists =
@@ -158,12 +153,12 @@ let to_json t =
           Json.Obj
             [
               ("count", Json.Num (float_of_int s.count));
-              ("min", json_of_float s.min_v);
-              ("max", json_of_float s.max_v);
-              ("mean", json_of_float s.mean);
-              ("p50", json_of_float s.p50);
-              ("p95", json_of_float s.p95);
-              ("p99", json_of_float s.p99);
+              ("min", Json.of_float s.min_v);
+              ("max", Json.of_float s.max_v);
+              ("mean", Json.of_float s.mean);
+              ("p50", Json.of_float s.p50);
+              ("p95", Json.of_float s.p95);
+              ("p99", Json.of_float s.p99);
             ] ))
       (sorted_keys t.hists)
   in

@@ -2,7 +2,6 @@ module B = Runtime.Budget
 module Rstats = Runtime.Stats
 module Span = Runtime.Span
 module Metrics = Runtime.Metrics
-module Trace = Runtime.Trace
 module Pool = Runtime.Pool
 module Instance = Tvnep.Instance
 module Request = Tvnep.Request
@@ -100,7 +99,6 @@ module Config = struct
     rounding : bool;
     pricing : bool;
     price : Pricing.params;
-    trace : Runtime.Trace.sink option;
     prof : Runtime.Span.recorder option;
   }
 
@@ -110,7 +108,7 @@ module Config = struct
       ?(deterministic = Some default_work_rate) ?(batch_size = 4) ?(jobs = 1)
       ?(departures = true) ?(reconfigure = false) ?(reconfigure_limit = 2)
       ?(move_cost = 0.1) ?(rounding = false) ?(pricing = false)
-      ?(price = Pricing.default_params) ?trace ?prof () =
+      ?(price = Pricing.default_params) ?prof () =
     if slice <= 0.0 || not (Float.is_finite slice) then
       invalid_arg "Engine.Config.make: non-positive slice";
     if exact_fraction < 0.0 || exact_fraction > 1.0 then
@@ -142,7 +140,6 @@ module Config = struct
       rounding;
       pricing;
       price;
-      trace;
       prof;
     }
 
@@ -817,14 +814,6 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
                 if reevaluated then Metrics.incr m "service.reevals";
                 Metrics.observe m "service.arrival_ticks" (float_of_int ticks)
               | None -> ());
-              Trace.emit config.Config.trace global
-                (Trace.Service_decision
-                   {
-                     request = req;
-                     admitted = proposal.p_admit;
-                     level = rung_to_string proposal.p_rung;
-                     ticks;
-                   });
               records :=
                 {
                   request = req;
@@ -939,71 +928,10 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Deprecated pre-[serve] surface                                     *)
-(* ------------------------------------------------------------------ *)
-
-type config = {
-  kind : Tvnep.Solver.model_kind;
-  use_cuts : bool;
-  pairwise_cuts : bool;
-  mip : Mip.Branch_bound.params;
-  slice : float;
-  exact_fraction : float;
-  time_limit : float;
-  deterministic : float option;
-  batch_size : int;
-  jobs : int;
-  trace : Runtime.Trace.sink option;
-  prof : Runtime.Span.recorder option;
-}
-
-let default_config =
-  {
-    kind = Solver.Csigma;
-    use_cuts = true;
-    pairwise_cuts = true;
-    mip = Mip.Branch_bound.default_params;
-    slice = 0.5;
-    exact_fraction = 0.7;
-    time_limit = infinity;
-    deterministic = Some default_work_rate;
-    batch_size = 4;
-    jobs = 1;
-    trace = None;
-    prof = None;
-  }
-
-let run ?(config = default_config) ?on_commit inst =
-  (* The historical arrival-only stream: every request at its window
-     opening, no departures, no reconfiguration, no pricing.  Every field
-     of the old record forwards into [Config.make]. *)
-  let c =
-    Config.make ~kind:config.kind ~use_cuts:config.use_cuts
-      ~pairwise_cuts:config.pairwise_cuts ~mip:config.mip ~slice:config.slice
-      ~exact_fraction:config.exact_fraction ~time_limit:config.time_limit
-      ~deterministic:config.deterministic ~batch_size:config.batch_size
-      ~jobs:config.jobs ~departures:false ~reconfigure:false ~pricing:false
-      ?trace:config.trace ?prof:config.prof ()
-  in
-  serve ~config:c ?on_commit inst
-
-(* ------------------------------------------------------------------ *)
 (* Versioned JSON encoding                                            *)
 (* ------------------------------------------------------------------ *)
 
 let schema_version = 2
-
-let json_of_float f =
-  if Float.is_finite f then Json.Num f else Json.Str (string_of_float f)
-
-let float_of_json = function
-  | Json.Num n -> Ok n
-  | Json.Str s -> (
-    match float_of_string_opt s with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "bad float %S" s))
-  | Json.Null -> Ok nan
-  | _ -> Error "expected a number"
 
 let status_opt_to_json = function
   | None -> Json.Null
@@ -1015,31 +943,26 @@ let record_to_json r =
       ("schema_version", Json.Num (float_of_int schema_version));
       ("request", Json.Num (float_of_int r.request));
       ("name", Json.Str r.name);
-      ("time", json_of_float r.time);
+      ("time", Json.of_float r.time);
       ("event", Json.Str (Event.kind_to_string r.event));
       ("admitted", Json.Bool r.admitted);
       ("rung", Json.Str (rung_to_string r.rung));
       ("exact_status", status_opt_to_json r.exact_status);
       ("greedy_status", status_opt_to_json r.greedy_status);
-      ("revenue", json_of_float r.revenue);
-      ("priced_cost", json_of_float r.priced_cost);
-      ("t_start", json_of_float r.t_start);
-      ("t_end", json_of_float r.t_end);
+      ("revenue", Json.of_float r.revenue);
+      ("priced_cost", Json.of_float r.priced_cost);
+      ("t_start", Json.of_float r.t_start);
+      ("t_end", Json.of_float r.t_end);
       ("ticks", Json.Num (float_of_int r.ticks));
       ("reevaluated", Json.Bool r.reevaluated);
       ( "moved",
         Json.List (List.map (fun i -> Json.Num (float_of_int i)) r.moved) );
     ]
 
-let ( let* ) = Result.bind
+open Json.Syntax
 
 let record_of_json doc =
-  let fieldv name =
-    match Json.member name doc with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let floatf name = Result.bind (fieldv name) float_of_json in
+  let floatf name = Result.bind (Json.field name doc) Json.decode_float in
   let intf name =
     match Json.member name doc with
     | Some (Json.Num n) -> Ok (int_of_float n)
@@ -1097,7 +1020,7 @@ let record_of_json doc =
     let* priced_cost =
       match Json.member "priced_cost" doc with
       | None -> Ok nan
-      | Some v -> float_of_json v
+      | Some v -> Json.decode_float v
     in
     let* t_start = floatf "t_start" in
     let* t_end = floatf "t_end" in
@@ -1139,7 +1062,7 @@ let record_of_json doc =
 let summary_to_json s =
   let i n = Json.Num (float_of_int n) in
   let floats a =
-    Json.List (Array.to_list (Array.map json_of_float a))
+    Json.List (Array.to_list (Array.map Json.of_float a))
   in
   Json.Obj
     [
@@ -1151,8 +1074,8 @@ let summary_to_json s =
       ("denied", i s.denied);
       ("departed", i s.departed);
       ("migrations", i s.migrations);
-      ("acceptance_ratio", json_of_float s.acceptance_ratio);
-      ("revenue", json_of_float s.revenue);
+      ("acceptance_ratio", Json.of_float s.acceptance_ratio);
+      ("revenue", Json.of_float s.revenue);
       ("admitted_exact", i s.admitted_exact);
       ("admitted_rounded", i s.admitted_rounded);
       ("admitted_greedy", i s.admitted_greedy);
@@ -1165,7 +1088,7 @@ let summary_to_json s =
       ("ticks_p50", i s.ticks_p50);
       ("ticks_p99", i s.ticks_p99);
       ("total_ticks", i s.total_ticks);
-      ("runtime", json_of_float s.runtime);
+      ("runtime", Json.of_float s.runtime);
       ("node_prices", floats s.node_prices);
       ("link_prices", floats s.link_prices);
       ("records", Json.List (Array.to_list (Array.map record_to_json s.records)));

@@ -188,9 +188,6 @@ module Config : sig
             jobs-invariant *)
     pricing : bool;                   (** enable the pricing policy *)
     price : Pricing.params;
-    trace : Runtime.Trace.sink option;
-        (** receives a {!Runtime.Trace.Service_decision} per arrival, in
-            event order, on the merging domain *)
     prof : Runtime.Span.recorder option;
         (** optional span recorder: each slice records an ["arrival"]
             span (its width is exactly the record's [ticks]) with
@@ -224,7 +221,6 @@ module Config : sig
     ?rounding:bool ->
     ?pricing:bool ->
     ?price:Pricing.params ->
-    ?trace:Runtime.Trace.sink ->
     ?prof:Runtime.Span.recorder ->
     unit ->
     t
@@ -264,46 +260,6 @@ val serve :
     request arrives twice.
     @raise Failure when a validator-gated release fails — an engine
     invariant violation, not an input error. *)
-
-(** {2 Deprecated pre-[serve] surface}
-
-    The arrival-only entry points, kept as thin wrappers over
-    {!Config.make} + {!serve} (departures, reconfiguration and pricing
-    all off).  Equivalence with the new surface is tested. *)
-
-type config = {
-  kind : Tvnep.Solver.model_kind;
-  use_cuts : bool;
-  pairwise_cuts : bool;
-  mip : Mip.Branch_bound.params;
-  slice : float;
-  exact_fraction : float;
-  time_limit : float;
-  deterministic : float option;
-  batch_size : int;
-  jobs : int;
-  trace : Runtime.Trace.sink option;
-  prof : Runtime.Span.recorder option;
-}
-[@@deprecated "use Engine.Config.make"]
-
-(* The wrappers below necessarily mention the deprecated [config] type;
-   silence the alert for the rest of this interface (the [@@deprecated]
-   marks still fire at external use sites). *)
-[@@@alert "-deprecated"]
-
-val default_config : config
-  [@@deprecated "use Engine.Config.default"]
-(** The same defaults as {!Config.default}, minus the lifecycle. *)
-
-val run :
-  ?config:config ->
-  ?on_commit:(int -> Tvnep.Solution.t -> unit) ->
-  Tvnep.Instance.t ->
-  summary
-  [@@deprecated "use Engine.serve"]
-(** [serve] over the arrival-only stream with departures, reconfiguration
-    and pricing disabled; forwards every configuration field. *)
 
 (** {2 Versioned JSON encoding} (["schema_version"] = 2)
 

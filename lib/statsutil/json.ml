@@ -271,3 +271,39 @@ let member key = function
 let to_float = function Num x -> Some x | _ -> None
 
 let to_list = function List items -> Some items | _ -> None
+
+(* --- codec helpers ------------------------------------------------------ *)
+
+let of_float f = if Float.is_finite f then Num f else Str (string_of_float f)
+
+let decode_float = function
+  | Num n -> Ok n
+  | Str s -> (
+    match float_of_string_opt s with
+    | Some f -> Ok f
+    | None -> Error (Printf.sprintf "bad float %S" s))
+  | Null -> Ok nan
+  | _ -> Error "expected a number"
+
+let decode_int = function
+  | Num n -> Ok (int_of_float n)
+  | _ -> Error "expected an integer"
+
+module Syntax = struct
+  let ( let* ) = Result.bind
+end
+
+open Syntax
+
+let field name doc =
+  match member name doc with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let float_field name doc =
+  let* v = field name doc in
+  Result.map_error (fun e -> name ^ ": " ^ e) (decode_float v)
+
+let int_field name doc =
+  let* v = field name doc in
+  Result.map_error (fun e -> name ^ ": " ^ e) (decode_int v)

@@ -31,3 +31,35 @@ val member : string -> t -> t option
 val to_float : t -> float option
 
 val to_list : t -> t list option
+
+(** {2 Codec helpers}
+
+    Shared by every versioned document in the repository (solver
+    outcomes, service records and summaries, metrics registries), so a
+    number is encoded and decoded the same way everywhere. *)
+
+val of_float : float -> t
+(** [Num f] for finite [f]; non-finite values become strings (["inf"],
+    ["nan"]) because the writer would render them as [null] — so a
+    decoded document gets back exactly the value it was encoded from. *)
+
+val decode_float : t -> (float, string) result
+(** Inverse of {!of_float}; [Null] decodes to [nan]. *)
+
+val decode_int : t -> (int, string) result
+(** A [Num], truncated to an integer. *)
+
+module Syntax : sig
+  val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
+end
+
+val field : string -> t -> (t, string) result
+(** The member [k], or [Error "missing field k"]. *)
+
+val float_field : string -> t -> (float, string) result
+(** {!field} then {!decode_float}; errors are prefixed with the field
+    name. *)
+
+val int_field : string -> t -> (int, string) result
+(** {!field} then {!decode_int}; errors are prefixed with the field
+    name. *)

@@ -1,5 +1,7 @@
 exception Parse_error of int * string
 
+let max_substrate_nodes = 100_000
+
 let to_string inst =
   let buf = Buffer.create 4096 in
   let sub = inst.Instance.substrate in
@@ -68,9 +70,13 @@ type parser_state = {
 
 let fail line msg = raise (Parse_error (line, msg))
 
+(* Every number in the format is a finite capacity, demand or time:
+   [nan] or [inf] would parse as floats and then silently poison the
+   model (a NaN horizon makes a feasible request "infeasible"). *)
 let float_of line s =
   match float_of_string_opt s with
-  | Some f -> f
+  | Some f when Float.is_finite f -> f
+  | Some _ -> fail line (Printf.sprintf "expected a finite number, got %S" s)
   | None -> fail line (Printf.sprintf "expected a number, got %S" s)
 
 let int_of line s =
@@ -97,7 +103,13 @@ let parse_line st lineno raw =
       if v <> "1" then fail lineno ("unsupported version " ^ v);
       st.version_seen <- true
     | None, [ "horizon"; h ] -> st.horizon <- Some (float_of lineno h)
-    | None, [ "substrate-nodes"; n ] -> st.n_sub <- Some (int_of lineno n)
+    | None, [ "substrate-nodes"; n ] ->
+      let n = int_of lineno n in
+      if n < 0 || n > max_substrate_nodes then
+        fail lineno
+          (Printf.sprintf "substrate-nodes %d outside [0, %d]" n
+             max_substrate_nodes);
+      st.n_sub <- Some n
     | None, [ "node-cap"; v; c ] ->
       st.node_caps <- (int_of lineno v, float_of lineno c) :: st.node_caps
     | None, [ "link"; a; b; c ] ->

@@ -17,7 +17,10 @@
     v}
 
     Either every virtual node carries a [host] or none does (fixed node
-    mappings are all-or-nothing per instance, as in {!Instance.t}). *)
+    mappings are all-or-nothing per instance, as in {!Instance.t}).
+    Every number must be finite ([nan] and [inf] are rejected), and
+    [substrate-nodes] is at most 100 000, so a hostile count is a parse
+    error rather than an allocation failure. *)
 
 exception Parse_error of int * string
 (** Line number and message. *)
@@ -25,7 +28,8 @@ exception Parse_error of int * string
 val to_string : Instance.t -> string
 
 val of_string : string -> Instance.t
-(** @raise Parse_error on malformed input. *)
+(** @raise Parse_error on malformed input, a non-finite number or an
+    out-of-range [substrate-nodes] count, with the directive's line. *)
 
 val save : string -> Instance.t -> unit
 (** [save path inst].  @raise Sys_error on I/O failure. *)

@@ -5,19 +5,17 @@ let model_kind_to_string = function
   | Sigma -> "sigma"
   | Csigma -> "csigma"
 
-type method_ = Exact | Greedy | Hybrid | Lp_only | Rounded
+type method_ = Exact | Greedy | Lp_only | Rounded
 
 let method_to_string = function
   | Exact -> "exact"
   | Greedy -> "greedy"
-  | Hybrid -> "hybrid"
   | Lp_only -> "lp_only"
   | Rounded -> "rounded"
 
 let method_of_string = function
   | "exact" -> Some Exact
   | "greedy" -> Some Greedy
-  | "hybrid" -> Some Hybrid
   | "lp_only" -> Some Lp_only
   | "rounded" -> Some Rounded
   | _ -> None
@@ -59,7 +57,6 @@ let status_of_string = function
 module Budget = Runtime.Budget
 module Rng = Workload.Rng
 module Rstats = Runtime.Stats
-module Trace = Runtime.Trace
 module Span = Runtime.Span
 
 module Options = struct
@@ -70,7 +67,6 @@ module Options = struct
     use_cuts : bool;
     pairwise_cuts : bool;
     seed_with_greedy : bool;
-    heavy_fraction : float;
     pinned : (int * float) list;
     forced : int list;
     flow_form : flow_form;
@@ -78,20 +74,17 @@ module Options = struct
     rounding : Rounding.params;
     mip : Mip.Branch_bound.params;
     budget : Runtime.Budget.t option;
-    trace : Runtime.Trace.sink option;
     prof : Runtime.Span.recorder option;
   }
 
   let make ?(method_ = Exact) ?(kind = Csigma)
       ?(objective = Objective.Access_control) ?(use_cuts = true)
       ?(pairwise_cuts = true) ?(seed_with_greedy = false)
-      ?(heavy_fraction = 0.3) ?(pinned = []) ?(forced = [])
+      ?(pinned = []) ?(forced = [])
       ?(flow_form = Arc)
       ?(colgen = Colgen_model.default_params)
       ?(rounding = Rounding.default_params)
-      ?(mip = Mip.Branch_bound.default_params) ?budget ?trace ?prof () =
-    if heavy_fraction < 0.0 || heavy_fraction > 1.0 then
-      invalid_arg "Solver.Options.make: heavy_fraction outside [0, 1]";
+      ?(mip = Mip.Branch_bound.default_params) ?budget ?prof () =
     Rounding.check_params rounding;
     {
       method_;
@@ -100,7 +93,6 @@ module Options = struct
       use_cuts;
       pairwise_cuts;
       seed_with_greedy;
-      heavy_fraction;
       pinned;
       forced;
       flow_form;
@@ -108,7 +100,6 @@ module Options = struct
       rounding;
       mip;
       budget;
-      trace;
       prof;
     }
 
@@ -140,12 +131,9 @@ type outcome = {
   lp_iterations : int;
   model_vars : int;
   model_rows : int;
-  hybrid : hybrid_detail option;
   colgen : colgen_stats option;
   stats : Runtime.Stats.t;
 }
-
-and hybrid_detail = { heavy : int list; heavy_outcome : outcome }
 
 (* One budget per solve: either the caller's, or a private one derived
    from the MIP parameters.  Everything below — model build, greedy
@@ -248,7 +236,6 @@ let exhausted_outcome ~method_used stats =
     lp_iterations = 0;
     model_vars = 0;
     model_rows = 0;
-    hybrid = None;
     colgen = None;
     stats;
   }
@@ -263,15 +250,12 @@ let status_of_mip mip_status ~has_incumbent =
   | Mip.Branch_bound.Numerical_failure -> Failed
 
 let run_exact inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
-  let sink = o.Options.trace in
   let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "build");
   let fm, _extras =
     Span.with_ prof budget "build" @@ fun () -> build ~budget inst o
   in
   let build_time = Budget.elapsed budget -. t0 in
   stats.Rstats.build_time <- stats.Rstats.build_time +. build_time;
-  Trace.emit sink budget (Trace.Phase_end ("build", build_time));
   let model = fm.Formulation.model in
   (* Optional greedy seeding (the combination the paper's conclusion
      proposes): lift the heuristic solution into this model's variables as
@@ -286,33 +270,22 @@ let run_exact inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
       && Instance.has_fixed_mappings inst
     then begin
       Span.with_ prof budget "greedy" @@ fun () ->
-      Trace.emit sink budget (Trace.Phase_start "greedy");
-      match
-        Greedy.run ~budget ~stats ?trace:sink ?prof
-          ~preplaced:o.Options.pinned inst
-      with
-      | greedy_sol, gstats ->
-        Trace.emit sink budget
-          (Trace.Phase_end ("greedy", gstats.Greedy.runtime));
-        Some (fm.Formulation.lift greedy_sol)
+      match Greedy.run ~budget ~stats ?prof ~preplaced:o.Options.pinned inst with
+      | greedy_sol, _ -> Some (fm.Formulation.lift greedy_sol)
       | exception Invalid_argument _ ->
         (* e.g. pinned set jointly infeasible for the heuristic — the MIP
            will discover infeasibility itself. *)
-        Trace.emit sink budget (Trace.Phase_end ("greedy", 0.0));
         None
     end
     else None
   in
-  Trace.emit sink budget (Trace.Phase_start "search");
   let result =
     Span.with_ prof budget "search" @@ fun () ->
     Mip.Branch_bound.solve ~params:o.Options.mip ?initial ~budget ~stats
-      ?trace:sink ?prof model
+      ?prof model
   in
   stats.Rstats.search_time <-
     stats.Rstats.search_time +. result.Mip.Branch_bound.solve_time;
-  Trace.emit sink budget
-    (Trace.Phase_end ("search", result.Mip.Branch_bound.solve_time));
   let solution =
     match result.Mip.Branch_bound.incumbent with
     | None -> None
@@ -341,23 +314,19 @@ let run_exact inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     lp_iterations = result.Mip.Branch_bound.lp_iterations;
     model_vars = Lp.Model.num_vars model;
     model_rows = Lp.Model.num_constrs model;
-    hybrid = None;
     colgen = None;
     stats;
   }
 
 let run_lp_only inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
-  let sink = o.Options.trace in
   let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "build");
   let fm, _extras =
     Span.with_ prof budget "build" @@ fun () -> build ~budget inst o
   in
   let build_time = Budget.elapsed budget -. t0 in
   stats.Rstats.build_time <- stats.Rstats.build_time +. build_time;
-  Trace.emit sink budget (Trace.Phase_end ("build", build_time));
   let result =
-    Lp.Simplex.solve_model ~budget ~stats ?trace:sink ?prof
+    Lp.Simplex.solve_model ~budget ~stats ?prof
       fm.Formulation.model
   in
   let status, objective =
@@ -383,7 +352,6 @@ let run_lp_only inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     lp_iterations = result.Lp.Simplex.iterations;
     model_vars = Lp.Model.num_vars fm.Formulation.model;
     model_rows = Lp.Model.num_constrs fm.Formulation.model;
-    hybrid = None;
     colgen = None;
     stats;
   }
@@ -393,15 +361,12 @@ let run_greedy inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     invalid_arg "Solver.run: Greedy requires fixed node mappings";
   if o.Options.forced <> [] then
     invalid_arg "Solver.run: forced requests are not supported with Greedy";
-  let sink = o.Options.trace in
   let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "greedy");
-  let solution, gstats =
+  let solution, _ =
     Span.with_ prof budget "greedy" @@ fun () ->
-    Greedy.run ~budget ~stats ?trace:sink ?prof ~preplaced:o.Options.pinned
+    Greedy.run ~budget ~stats ?prof ~preplaced:o.Options.pinned
       inst
   in
-  Trace.emit sink budget (Trace.Phase_end ("greedy", gstats.Greedy.runtime));
   {
     (* The heuristic proves no bound; [Feasible] unless the clock died
        mid-scan (a partial scan may have skipped admissible requests). *)
@@ -419,7 +384,6 @@ let run_greedy inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     lp_iterations = stats.Rstats.simplex_iterations;
     model_vars = 0;
     model_rows = 0;
-    hybrid = None;
     colgen = None;
     stats;
   }
@@ -469,31 +433,20 @@ let build_path ?budget inst (o : Options.t) =
   (cg, extras)
 
 let colgen_build_phase inst (o : Options.t) ~budget ~stats ~t0 =
-  let sink = o.Options.trace in
   let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "build");
   let cg, _extras =
     Span.with_ prof budget "build" @@ fun () -> build_path ~budget inst o
   in
   let build_time = Budget.elapsed budget -. t0 in
   stats.Rstats.build_time <- stats.Rstats.build_time +. build_time;
-  Trace.emit sink budget (Trace.Phase_end ("build", build_time));
   cg
 
 let colgen_generate_phase cg (o : Options.t) ~budget ~stats ?fixed () =
-  let sink = o.Options.trace in
   let prof = o.Options.prof in
-  Trace.emit sink budget (Trace.Phase_start "colgen");
-  let t_cg = Budget.elapsed budget in
-  let gen =
-    Span.with_ prof budget "colgen" @@ fun () ->
-    Colgen_model.generate ~jobs:o.Options.mip.Mip.Branch_bound.jobs
-      ~lp_params:o.Options.mip.Mip.Branch_bound.lp_params ~stats ?prof ?fixed
-      ~budget cg
-  in
-  Trace.emit sink budget
-    (Trace.Phase_end ("colgen", Budget.elapsed budget -. t_cg));
-  gen
+  Span.with_ prof budget "colgen" @@ fun () ->
+  Colgen_model.generate ~jobs:o.Options.mip.Mip.Branch_bound.jobs
+    ~lp_params:o.Options.mip.Mip.Branch_bound.lp_params ~stats ?prof ?fixed
+    ~budget cg
 
 (* Exact solve over the path master: root column generation on the LP
    relaxation, then branch-and-bound on the enlarged standard form —
@@ -505,22 +458,18 @@ let colgen_generate_phase cg (o : Options.t) ~budget ~stats ?fixed () =
    MIP over the generated columns; at the root LP it coincides with the
    full arc-form bound once generation converged. *)
 let run_exact_path inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
-  let sink = o.Options.trace in
   let prof = o.Options.prof in
   let cg = colgen_build_phase inst o ~budget ~stats ~t0 in
   let root = colgen_generate_phase cg o ~budget ~stats () in
   let converged = ref root.Colgen_model.converged in
   let search sf initial =
-    Trace.emit sink budget (Trace.Phase_start "search");
     let result =
       Span.with_ prof budget "search" @@ fun () ->
       Mip.Branch_bound.solve_form ~params:o.Options.mip ?initial ~budget
-        ~stats ?trace:sink ?prof sf
+        ~stats ?prof sf
     in
     stats.Rstats.search_time <-
       stats.Rstats.search_time +. result.Mip.Branch_bound.solve_time;
-    Trace.emit sink budget
-      (Trace.Phase_end ("search", result.Mip.Branch_bound.solve_time));
     result
   in
   let result = search root.Colgen_model.sf None in
@@ -568,7 +517,6 @@ let run_exact_path inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     (* The enlarged form, not the seed model: generated columns count. *)
     model_vars = sf.Lp.Std_form.n_struct;
     model_rows = sf.Lp.Std_form.n_rows;
-    hybrid = None;
     colgen = colgen_stats_of cg ~converged:!converged;
     stats;
   }
@@ -605,7 +553,6 @@ let run_lp_path inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     lp_iterations = stats.Rstats.simplex_iterations;
     model_vars = root.Colgen_model.sf.Lp.Std_form.n_struct;
     model_rows = root.Colgen_model.sf.Lp.Std_form.n_rows;
-    hybrid = None;
     colgen = colgen_stats_of cg ~converged:root.Colgen_model.converged;
     stats;
   }
@@ -629,14 +576,11 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     invalid_arg "Solver.run: Rounded requires fixed node mappings";
   if o.Options.forced <> [] then
     invalid_arg "Solver.run: forced requests are not supported with Rounded";
-  let sink = o.Options.trace in
   let prof = o.Options.prof in
   let params = o.Options.rounding in
   (* Phase 1: the LP relaxation.  The model is built with integrality
      marks (warm-path sharing with the exact solve), which the simplex
      ignores — exactly how [Lp_only] obtains the relaxation. *)
-  Trace.emit sink budget (Trace.Phase_start "lp_relax");
-  let t_lp = Budget.elapsed budget in
   let fm, lp_status, lp_objective, value, lp_bound_valid, colgen, model_vars,
       model_rows =
     Span.with_ prof budget "lp_relax" @@ fun () ->
@@ -644,7 +588,7 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     | Arc ->
       let fm, _extras = build ~budget inst o in
       let result =
-        Lp.Simplex.solve_model ~budget ~stats ?trace:sink ?prof
+        Lp.Simplex.solve_model ~budget ~stats ?prof
           fm.Formulation.model
       in
       ( fm,
@@ -674,8 +618,6 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
         root.Colgen_model.sf.Lp.Std_form.n_struct,
         root.Colgen_model.sf.Lp.Std_form.n_rows )
   in
-  Trace.emit sink budget
-    (Trace.Phase_end ("lp_relax", Budget.elapsed budget -. t_lp));
   let finish ~status ~bound solution =
     {
       status;
@@ -700,7 +642,6 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
       lp_iterations = stats.Rstats.simplex_iterations;
       model_vars;
       model_rows;
-      hybrid = None;
       colgen;
       stats;
     }
@@ -713,7 +654,7 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
     stats.Rstats.rounding_fallbacks <- stats.Rstats.rounding_fallbacks + 1;
     match
       Span.with_ prof budget "greedy" @@ fun () ->
-      Greedy.run ~budget ~stats ?trace:sink ?prof ~preplaced:o.Options.pinned
+      Greedy.run ~budget ~stats ?prof ~preplaced:o.Options.pinned
         inst
     with
     | solution, _gstats -> finish ~status:(feasible_status ()) ~bound (Some solution)
@@ -757,22 +698,15 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
       if Budget.remaining budget <= 0.0 then None
       else
         match
-          Greedy.run ~budget ~stats ?trace:sink ?prof
+          Greedy.run ~budget ~stats ?prof
             ~preplaced:(o.Options.pinned @ chosen) inst
         with
         | solution, _gstats -> Some solution
         | exception Invalid_argument _ -> None
     in
     let first =
-      Trace.emit sink budget (Trace.Phase_start "round");
-      let t_round = Budget.elapsed budget in
-      let r =
-        Span.with_ prof budget "round" @@ fun () ->
-        Rounding.round ~rng ~max_repairs:0 ~stats decomp ~realize
-      in
-      Trace.emit sink budget
-        (Trace.Phase_end ("round", Budget.elapsed budget -. t_round));
-      r
+      Span.with_ prof budget "round" @@ fun () ->
+      Rounding.round ~rng ~max_repairs:0 ~stats decomp ~realize
     in
     let rounded =
       match first with
@@ -780,20 +714,13 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
       | None ->
         if params.Rounding.max_repairs = 0 then None
         else begin
-          Trace.emit sink budget (Trace.Phase_start "repair");
-          let t_rep = Budget.elapsed budget in
           (* The first retry is a repair too; [Rounding.round] only
              counts the retries between its own attempts. *)
           stats.Rstats.rounding_repairs <- stats.Rstats.rounding_repairs + 1;
-          let r =
-            Span.with_ prof budget "repair" @@ fun () ->
-            Rounding.round ~rng
-              ~max_repairs:(params.Rounding.max_repairs - 1)
-              ~stats decomp ~realize
-          in
-          Trace.emit sink budget
-            (Trace.Phase_end ("repair", Budget.elapsed budget -. t_rep));
-          r
+          Span.with_ prof budget "repair" @@ fun () ->
+          Rounding.round ~rng
+            ~max_repairs:(params.Rounding.max_repairs - 1)
+            ~stats decomp ~realize
         end
     in
     (match rounded with
@@ -803,11 +730,7 @@ let run_rounded inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
         finish ~status:Budget_exhausted ~bound None
       else greedy_fallback ~bound ())
 
-let revenue inst req =
-  let r = Instance.request inst req in
-  r.Request.duration *. Request.total_node_demand r
-
-let rec run inst (o : Options.t) =
+let run inst (o : Options.t) =
   validate_pinned inst o.Options.pinned;
   validate_forced inst o.Options.pinned o.Options.forced;
   let budget = budget_of_options o in
@@ -830,115 +753,6 @@ let rec run inst (o : Options.t) =
     | Lp_only, Path -> run_lp_path inst o ~budget ~stats ~ticks0 ~t0
     | Greedy, _ -> run_greedy inst o ~budget ~stats ~ticks0 ~t0
     | Rounded, _ -> run_rounded inst o ~budget ~stats ~ticks0 ~t0
-    | Hybrid, _ -> run_hybrid inst o ~budget ~stats ~ticks0 ~t0
-
-(* The heavy-hitter split of the paper's conclusion: rank requests by
-   revenue (duration × total node demand), solve the top fraction exactly
-   on a nested sub-budget, then admit the rest greedily around the fixed
-   heavy schedule, re-optimizing all link flows jointly. *)
-and run_hybrid inst (o : Options.t) ~budget ~stats ~ticks0 ~t0 =
-  if not (Instance.has_fixed_mappings inst) then
-    invalid_arg "Solver.run: Hybrid requires fixed node mappings";
-  if o.Options.pinned <> [] then
-    invalid_arg "Solver.run: pinned requests are not supported with Hybrid";
-  if o.Options.forced <> [] then
-    invalid_arg "Solver.run: forced requests are not supported with Hybrid";
-  let k = Instance.num_requests inst in
-  let by_revenue =
-    List.sort
-      (fun a b -> compare (revenue inst b, a) (revenue inst a, b))
-      (List.init k (fun i -> i))
-  in
-  let n_heavy =
-    min k
-      (int_of_float
-         (Float.round (o.Options.heavy_fraction *. float_of_int k)))
-  in
-  let heavy = List.filteri (fun i _ -> i < n_heavy) by_revenue in
-  let heavy = List.sort compare heavy in
-  let heavy_requests =
-    Array.of_list (List.map (Instance.request inst) heavy)
-  in
-  let heavy_mappings =
-    Array.of_list
-      (List.map (fun i -> Option.get (Instance.node_mapping inst i)) heavy)
-  in
-  let heavy_outcome =
-    if heavy = [] then
-      (* Nothing heavy: a degenerate, trivially-optimal outcome. *)
-      {
-        status = Optimal;
-        method_used = Exact;
-        mip_status = Some Mip.Branch_bound.Optimal;
-        solution = None;
-        objective = Some 0.0;
-        bound = 0.0;
-        gap = 0.0;
-        runtime = 0.0;
-        ticks = 0;
-        nodes = 0;
-        lp_iterations = 0;
-        model_vars = 0;
-        model_rows = 0;
-        hybrid = None;
-        colgen = None;
-        stats = Rstats.create ();
-      }
-    else
-      (* The exact pass gets [mip.time_limit] of whatever remains on the
-         shared clock — a nested budget, so both the inner deadline and
-         the overall one are honoured. *)
-      run
-        (Instance.with_requests inst heavy_requests
-           ~node_mappings:heavy_mappings ())
-        (Options.make ~method_:Exact ~kind:o.Options.kind
-           ~use_cuts:o.Options.use_cuts ~pairwise_cuts:o.Options.pairwise_cuts
-           ~flow_form:o.Options.flow_form ~colgen:o.Options.colgen
-           ~mip:o.Options.mip
-           ~budget:
-             (Budget.sub ~time_limit:o.Options.mip.Mip.Branch_bound.time_limit
-                budget)
-           ?trace:o.Options.trace ?prof:o.Options.prof ())
-  in
-  Rstats.merge ~into:stats heavy_outcome.stats;
-  (* Fix the schedules the exact pass chose.  Heavy requests it rejected
-     get a second chance in the greedy scan — they can only add revenue. *)
-  let preplaced =
-    match heavy_outcome.solution with
-    | None -> []
-    | Some sol ->
-      List.mapi (fun pos req -> (pos, req)) heavy
-      |> List.filter_map (fun (pos, req) ->
-             let a = sol.Solution.assignments.(pos) in
-             if a.Solution.accepted then Some (req, a.Solution.t_start)
-             else None)
-  in
-  let solution, _gstats =
-    Span.with_ o.Options.prof budget "greedy" @@ fun () ->
-    Greedy.run ~budget ~stats ?trace:o.Options.trace ?prof:o.Options.prof
-      ~preplaced inst
-  in
-  {
-    status =
-      (if Budget.remaining budget <= 0.0 then Budget_exhausted else Feasible);
-    method_used = Hybrid;
-    mip_status = heavy_outcome.mip_status;
-    solution = Some solution;
-    objective = Some solution.Solution.objective;
-    bound = nan;
-    gap = infinity;
-    (* One clock for both passes: the combined runtime is an elapsed delta
-       on the shared budget, never the sum of two independent spans. *)
-    runtime = Budget.elapsed budget -. t0;
-    ticks = Budget.ticks budget - ticks0;
-    nodes = heavy_outcome.nodes;
-    lp_iterations = stats.Rstats.simplex_iterations;
-    model_vars = heavy_outcome.model_vars;
-    model_rows = heavy_outcome.model_rows;
-    hybrid = Some { heavy; heavy_outcome };
-    colgen = heavy_outcome.colgen;
-    stats;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Versioned JSON encoding                                            *)
@@ -948,39 +762,7 @@ module Json = Statsutil.Json
 
 let schema_version = 1
 
-(* The writer renders non-finite floats as [null]; encode them as strings
-   instead so greedy/hybrid outcomes ([bound = nan], [gap = inf]) decode
-   back to exactly the value they were encoded from. *)
-let json_of_float f =
-  if Float.is_finite f then Json.Num f else Json.Str (string_of_float f)
-
-let float_of_json = function
-  | Json.Num n -> Ok n
-  | Json.Str s -> (
-    match float_of_string_opt s with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "bad float %S" s))
-  | Json.Null -> Ok nan
-  | _ -> Error "expected a number"
-
-let int_of_json = function
-  | Json.Num n -> Ok (int_of_float n)
-  | _ -> Error "expected an integer"
-
-let ( let* ) = Result.bind
-
-let field name doc =
-  match Json.member name doc with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let float_field name doc =
-  let* v = field name doc in
-  Result.map_error (fun e -> name ^ ": " ^ e) (float_of_json v)
-
-let int_field name doc =
-  let* v = field name doc in
-  Result.map_error (fun e -> name ^ ": " ^ e) (int_of_json v)
+open Json.Syntax
 
 let stats_to_json (s : Rstats.t) =
   let i n = Json.Num (float_of_int n) in
@@ -1016,10 +798,10 @@ let stats_to_json (s : Rstats.t) =
       ("service_denied", i s.Rstats.service_denied);
       ("service_fallbacks", i s.Rstats.service_fallbacks);
       ("service_reevals", i s.Rstats.service_reevals);
-      ("greedy_time", json_of_float s.Rstats.greedy_time);
-      ("build_time", json_of_float s.Rstats.build_time);
-      ("search_time", json_of_float s.Rstats.search_time);
-      ("service_time", json_of_float s.Rstats.service_time);
+      ("greedy_time", Json.of_float s.Rstats.greedy_time);
+      ("build_time", Json.of_float s.Rstats.build_time);
+      ("search_time", Json.of_float s.Rstats.search_time);
+      ("service_time", Json.of_float s.Rstats.service_time);
     ]
 
 let stats_of_json doc =
@@ -1032,7 +814,7 @@ let stats_of_json doc =
       match Json.member name doc with
       | None -> Ok ()
       | Some v ->
-        let* n = Result.map_error (fun e -> name ^ ": " ^ e) (int_of_json v) in
+        let* n = Result.map_error (fun e -> name ^ ": " ^ e) (Json.decode_int v) in
         set n;
         Ok ()
     in
@@ -1041,7 +823,7 @@ let stats_of_json doc =
       | None -> Ok ()
       | Some v ->
         let* x =
-          Result.map_error (fun e -> name ^ ": " ^ e) (float_of_json v)
+          Result.map_error (fun e -> name ^ ": " ^ e) (Json.decode_float v)
         in
         set x;
         Ok ()
@@ -1099,11 +881,11 @@ let assignment_to_json (a : Solution.assignment) =
                     (List.map
                        (fun (edge, flow) ->
                          Json.List
-                           [ Json.Num (float_of_int edge); json_of_float flow ])
+                           [ Json.Num (float_of_int edge); Json.of_float flow ])
                        flows))
                 a.Solution.link_flows)) );
-      ("t_start", json_of_float a.Solution.t_start);
-      ("t_end", json_of_float a.Solution.t_end);
+      ("t_start", Json.of_float a.Solution.t_start);
+      ("t_end", Json.of_float a.Solution.t_end);
     ]
 
 let assignment_of_json doc =
@@ -1113,13 +895,13 @@ let assignment_of_json doc =
     | _ -> Error "assignment: missing boolean \"accepted\""
   in
   let* node_map =
-    match Option.bind (field "node_map" doc |> Result.to_option) Json.to_list with
+    match Option.bind (Json.member "node_map" doc) Json.to_list with
     | Some l ->
       let* ids =
         List.fold_right
           (fun v acc ->
             let* acc = acc in
-            let* n = int_of_json v in
+            let* n = Json.decode_int v in
             Ok (n :: acc))
           l (Ok [])
       in
@@ -1128,7 +910,7 @@ let assignment_of_json doc =
   in
   let* link_flows =
     match
-      Option.bind (field "link_flows" doc |> Result.to_option) Json.to_list
+      Option.bind (Json.member "link_flows" doc) Json.to_list
     with
     | Some l ->
       let* flows =
@@ -1144,8 +926,8 @@ let assignment_of_json doc =
                     let* acc = acc in
                     match Json.to_list p with
                     | Some [ e; f ] ->
-                      let* e = int_of_json e in
-                      let* f = float_of_json f in
+                      let* e = Json.decode_int e in
+                      let* f = Json.decode_float f in
                       Ok ((e, f) :: acc)
                     | _ -> Error "assignment: flow pair expected")
                   pairs (Ok [])
@@ -1156,14 +938,14 @@ let assignment_of_json doc =
       Ok (Array.of_list flows)
     | None -> Error "assignment: missing \"link_flows\""
   in
-  let* t_start = float_field "t_start" doc in
-  let* t_end = float_field "t_end" doc in
+  let* t_start = Json.float_field "t_start" doc in
+  let* t_end = Json.float_field "t_end" doc in
   Ok { Solution.accepted; node_map; link_flows; t_start; t_end }
 
 let solution_to_json (sol : Solution.t) =
   Json.Obj
     [
-      ("objective", json_of_float sol.Solution.objective);
+      ("objective", Json.of_float sol.Solution.objective);
       ( "assignments",
         Json.List
           (Array.to_list (Array.map assignment_to_json sol.Solution.assignments))
@@ -1171,9 +953,9 @@ let solution_to_json (sol : Solution.t) =
     ]
 
 let solution_of_json doc =
-  let* objective = float_field "objective" doc in
+  let* objective = Json.float_field "objective" doc in
   match
-    Option.bind (field "assignments" doc |> Result.to_option) Json.to_list
+    Option.bind (Json.member "assignments" doc) Json.to_list
   with
   | None -> Error "solution: missing \"assignments\""
   | Some l ->
@@ -1196,7 +978,7 @@ let mip_status_of_string = function
   | "numerical failure" -> Some Mip.Branch_bound.Numerical_failure
   | _ -> None
 
-let rec outcome_to_json o =
+let outcome_to_json o =
   Json.Obj
     [
       ("schema", Json.Str "tvnep-outcome/1");
@@ -1208,10 +990,10 @@ let rec outcome_to_json o =
         | Some s -> Json.Str (Mip.Branch_bound.status_to_string s)
         | None -> Json.Null );
       ( "objective",
-        match o.objective with Some v -> json_of_float v | None -> Json.Null );
-      ("bound", json_of_float o.bound);
-      ("gap", json_of_float o.gap);
-      ("runtime", json_of_float o.runtime);
+        match o.objective with Some v -> Json.of_float v | None -> Json.Null );
+      ("bound", Json.of_float o.bound);
+      ("gap", Json.of_float o.gap);
+      ("runtime", Json.of_float o.runtime);
       ("ticks", Json.Num (float_of_int o.ticks));
       ("nodes", Json.Num (float_of_int o.nodes));
       ("lp_iterations", Json.Num (float_of_int o.lp_iterations));
@@ -1221,17 +1003,6 @@ let rec outcome_to_json o =
         match o.solution with
         | Some sol -> solution_to_json sol
         | None -> Json.Null );
-      ( "hybrid",
-        match o.hybrid with
-        | None -> Json.Null
-        | Some h ->
-          Json.Obj
-            [
-              ( "heavy",
-                Json.List
-                  (List.map (fun i -> Json.Num (float_of_int i)) h.heavy) );
-              ("heavy_outcome", outcome_to_json h.heavy_outcome);
-            ] );
       (* Added without a schema bump: decoders treat absence (old
          documents) and [null] (arc-form solves) identically. *)
       ( "colgen",
@@ -1252,8 +1023,8 @@ let rec outcome_to_json o =
       ("stats", stats_to_json o.stats);
     ]
 
-let rec outcome_of_json doc =
-  let* version = int_field "schema_version" doc in
+let outcome_of_json doc =
+  let* version = Json.int_field "schema_version" doc in
   if version <> schema_version then
     Error (Printf.sprintf "unsupported schema_version %d" version)
   else
@@ -1285,34 +1056,12 @@ let rec outcome_of_json doc =
     let* objective =
       match Json.member "objective" doc with
       | None | Some Json.Null -> Ok None
-      | Some v -> Result.map Option.some (float_of_json v)
+      | Some v -> Result.map Option.some (Json.decode_float v)
     in
     let* solution =
       match Json.member "solution" doc with
       | None | Some Json.Null -> Ok None
       | Some v -> Result.map Option.some (solution_of_json v)
-    in
-    let* hybrid =
-      match Json.member "hybrid" doc with
-      | None | Some Json.Null -> Ok None
-      | Some h ->
-        let* heavy =
-          match Option.bind (Json.member "heavy" h) Json.to_list with
-          | None -> Error "hybrid: missing \"heavy\""
-          | Some l ->
-            List.fold_right
-              (fun v acc ->
-                let* acc = acc in
-                let* n = int_of_json v in
-                Ok (n :: acc))
-              l (Ok [])
-        in
-        let* heavy_outcome =
-          match Json.member "heavy_outcome" h with
-          | None -> Error "hybrid: missing \"heavy_outcome\""
-          | Some v -> outcome_of_json v
-        in
-        Ok (Some { heavy; heavy_outcome })
     in
     let* colgen =
       match Json.member "colgen" doc with
@@ -1320,10 +1069,10 @@ let rec outcome_of_json doc =
          forms must decode. *)
       | None | Some Json.Null -> Ok None
       | Some c ->
-        let* columns_generated = int_field "columns_generated" c in
-        let* pricing_rounds = int_field "pricing_rounds" c in
-        let* master_flow_columns = int_field "master_flow_columns" c in
-        let* arc_flow_columns = int_field "arc_flow_columns" c in
+        let* columns_generated = Json.int_field "columns_generated" c in
+        let* pricing_rounds = Json.int_field "pricing_rounds" c in
+        let* master_flow_columns = Json.int_field "master_flow_columns" c in
+        let* arc_flow_columns = Json.int_field "arc_flow_columns" c in
         let* colgen_converged =
           match Json.member "converged" c with
           | Some (Json.Bool b) -> Ok b
@@ -1344,14 +1093,14 @@ let rec outcome_of_json doc =
       | None -> Ok (Rstats.create ())
       | Some v -> stats_of_json v
     in
-    let* bound = float_field "bound" doc in
-    let* gap = float_field "gap" doc in
-    let* runtime = float_field "runtime" doc in
-    let* ticks = int_field "ticks" doc in
-    let* nodes = int_field "nodes" doc in
-    let* lp_iterations = int_field "lp_iterations" doc in
-    let* model_vars = int_field "model_vars" doc in
-    let* model_rows = int_field "model_rows" doc in
+    let* bound = Json.float_field "bound" doc in
+    let* gap = Json.float_field "gap" doc in
+    let* runtime = Json.float_field "runtime" doc in
+    let* ticks = Json.int_field "ticks" doc in
+    let* nodes = Json.int_field "nodes" doc in
+    let* lp_iterations = Json.int_field "lp_iterations" doc in
+    let* model_vars = Json.int_field "model_vars" doc in
+    let* model_rows = Json.int_field "model_rows" doc in
     Ok
       {
         status;
@@ -1367,51 +1116,6 @@ let rec outcome_of_json doc =
         lp_iterations;
         model_vars;
         model_rows;
-        hybrid;
         colgen;
         stats;
       }
-
-(* ------------------------------------------------------------------ *)
-(* Deprecated pre-[run] surface                                       *)
-(* ------------------------------------------------------------------ *)
-
-type options = {
-  kind : model_kind;
-  objective : Objective.t;
-  use_cuts : bool;
-  pairwise_cuts : bool;
-  seed_with_greedy : bool;
-  mip : Mip.Branch_bound.params;
-  budget : Runtime.Budget.t option;
-  trace : Runtime.Trace.sink option;
-}
-
-let default_options =
-  {
-    kind = Csigma;
-    objective = Objective.Access_control;
-    use_cuts = true;
-    pairwise_cuts = true;
-    seed_with_greedy = false;
-    mip = Mip.Branch_bound.default_params;
-    budget = None;
-    trace = None;
-  }
-
-let options_to_new (o : options) =
-  Options.make ~kind:o.kind ~objective:o.objective ~use_cuts:o.use_cuts
-    ~pairwise_cuts:o.pairwise_cuts ~seed_with_greedy:o.seed_with_greedy
-    ~mip:o.mip ?budget:o.budget ?trace:o.trace ()
-
-let solve inst o = run inst (options_to_new o)
-
-let solve_lp_relaxation inst o =
-  let o' = options_to_new o in
-  (* Derive the budget exactly as [run] does: without this, a caller
-     relying on [mip.time_limit]/[node_limit] (no explicit budget) got an
-     unlimited LP solve here while every other entry point honoured the
-     limits. *)
-  let budget = budget_of_options o' in
-  let fm, _ = build inst o' in
-  Lp.Simplex.solve_model ~budget ?trace:o.trace fm.Formulation.model

@@ -1,9 +1,9 @@
 (** Unified one-call solver interface.
 
     [run] is the single entry point for every solve method — exact MIP
-    (Δ / Σ / cΣ branch-and-bound), the greedy heuristic cΣ_A^G, the
-    heavy-hitter hybrid, or the root LP relaxation — selected by
-    {!Options.t.method_}.  It returns one {!outcome} shape for all of
+    (Δ / Σ / cΣ branch-and-bound), the greedy heuristic cΣ_A^G,
+    LP-guided randomized rounding, or the root LP relaxation — selected
+    by {!Options.t.method_}.  It returns one {!outcome} shape for all of
     them, with a unified {!status} that distinguishes "proved optimal"
     from "feasible but budget ran out" from "budget exhausted with
     nothing to show", which is what the online admission service's
@@ -11,9 +11,7 @@
 
     Options are built with the {!Options.make} smart constructor (the
     record is private), so adding a knob is not a breaking change for
-    callers.  The old entry points ([solve], [solve_lp_relaxation],
-    {!Greedy.solve}, {!Hybrid.solve}) survive as thin deprecated
-    wrappers. *)
+    callers. *)
 
 type model_kind = Delta | Sigma | Csigma
 
@@ -22,7 +20,6 @@ val model_kind_to_string : model_kind -> string
 type method_ =
   | Exact    (** build the chosen formulation, branch-and-bound *)
   | Greedy   (** the polynomial heuristic cΣ_A^G (fixed mappings only) *)
-  | Hybrid   (** exact on the heavy hitters, greedy around them *)
   | Lp_only  (** root LP relaxation of the chosen formulation *)
   | Rounded
       (** randomized rounding ({!Rounding}): solve the LP relaxation,
@@ -41,8 +38,7 @@ type flow_form =
   | Path  (** column generation: a path-based restricted master grown by
               shortest-path pricing ({!Colgen_model}).  Requires the cΣ
               model and fixed node mappings; applies to [Exact] and
-              [Lp_only] (and the hybrid's exact pass).  [Greedy] ignores
-              it. *)
+              [Lp_only].  [Greedy] ignores it. *)
 
 val flow_form_to_string : flow_form -> string
 val flow_form_of_string : string -> flow_form option
@@ -51,8 +47,8 @@ val flow_form_of_string : string -> flow_form option
     refines {!Mip.Branch_bound.status} (the raw MIP status is kept in
     [outcome.mip_status]): a limit status becomes [Feasible] when an
     incumbent exists and [Budget_exhausted] when the search stopped with
-    nothing.  [Greedy] and [Hybrid] complete as [Feasible] (they prove no
-    bound) unless their budget died first. *)
+    nothing.  [Greedy] completes as [Feasible] (it proves no bound) unless
+    its budget died first. *)
 type status =
   | Optimal           (** proved optimal (exact methods only) *)
   | Feasible          (** a feasible solution, no optimality proof *)
@@ -77,14 +73,11 @@ module Options : sig
             solution (access control + fixed mappings only) — the
             greedy/exact combination suggested in the paper's
             conclusion *)
-    heavy_fraction : float;
-        (** [Hybrid] only: revenue share of requests solved exactly *)
     pinned : (int * float) list;
         (** (request index, start time) pairs forced into the solution at
             exactly that schedule — the admission service pins its
             committed requests this way.  [Exact]/[Lp_only] fix the
-            acceptance and start variables; [Greedy] pre-places them.
-            Not supported by [Hybrid]. *)
+            acceptance and start variables; [Greedy] pre-places them. *)
     forced : int list;
         (** request indices forced to be accepted ([x_R = 1]) while their
             start time stays a decision variable — the pinned-start
@@ -107,10 +100,6 @@ module Options : sig
             against this single clock, so time limits compose.  A budget
             that is {e already exhausted} yields a clean
             [Budget_exhausted] outcome without building the model. *)
-    trace : Runtime.Trace.sink option;
-        (** optional event sink: phase enter/exit, simplex
-            refactorizations, B&B node / incumbent / bound updates,
-            greedy admissions *)
     prof : Runtime.Span.recorder option;
         (** optional span recorder: the solve records a root ["solve"]
             span (width exactly [outcome.ticks]) with
@@ -128,7 +117,6 @@ module Options : sig
     ?use_cuts:bool ->
     ?pairwise_cuts:bool ->
     ?seed_with_greedy:bool ->
-    ?heavy_fraction:float ->
     ?pinned:(int * float) list ->
     ?forced:int list ->
     ?flow_form:flow_form ->
@@ -136,16 +124,15 @@ module Options : sig
     ?rounding:Rounding.params ->
     ?mip:Mip.Branch_bound.params ->
     ?budget:Runtime.Budget.t ->
-    ?trace:Runtime.Trace.sink ->
     ?prof:Runtime.Span.recorder ->
     unit ->
     t
   (** Defaults: [Exact] cΣ, access control, all cuts, no seeding,
-      [heavy_fraction = 0.3], nothing pinned, [Arc] flow form with
-      {!Colgen_model.default_params}, {!Rounding.default_params},
-      default MIP parameters, a private budget, no trace, no profiling.
-      @raise Invalid_argument for a [heavy_fraction] outside [0, 1] or
-      rounding parameters rejected by {!Rounding.check_params}. *)
+      nothing pinned, [Arc] flow form with {!Colgen_model.default_params},
+      {!Rounding.default_params}, default MIP parameters, a private
+      budget, no profiling.
+      @raise Invalid_argument for rounding parameters rejected by
+      {!Rounding.check_params}. *)
 
   val default : t
   (** [make ()]. *)
@@ -180,13 +167,12 @@ type outcome = {
   status : status;
   method_used : method_;
   mip_status : Mip.Branch_bound.status option;
-      (** the raw branch-and-bound status, for [Exact] (and the hybrid's
-          exact pass via [hybrid.heavy_outcome]) *)
+      (** the raw branch-and-bound status, for [Exact] *)
   solution : Solution.t option;  (** best solution found, when any *)
   objective : float option;      (** its objective value *)
   bound : float;
       (** proved dual bound; [nan] when the method proves none (greedy,
-          hybrid, degenerate outcomes) *)
+          degenerate outcomes) *)
   gap : float;                   (** relative gap as defined in [Mip] *)
   runtime : float;
       (** budget-clock seconds for the {e whole} solve — model build plus
@@ -198,30 +184,23 @@ type outcome = {
   lp_iterations : int;
   model_vars : int;
   model_rows : int;
-  hybrid : hybrid_detail option;  (** [Hybrid] runs only *)
   colgen : colgen_stats option;
-      (** [flow_form = Path] runs only (for [Hybrid], mirrors the heavy
-          pass); [None] for arc-form solves and pre-colgen JSON
-          documents *)
+      (** [flow_form = Path] runs only; [None] for arc-form solves and
+          pre-colgen JSON documents *)
   stats : Runtime.Stats.t;
       (** structured counters for this solve: simplex pivots and
           refactorizations, LP solves, B&B nodes/incumbents/bound updates,
           greedy probe counts, and per-phase times *)
 }
 
-and hybrid_detail = {
-  heavy : int list;          (** request indices solved exactly *)
-  heavy_outcome : outcome;   (** the exact pass on the heavy subset *)
-}
-
 val run : Instance.t -> Options.t -> outcome
 (** Solve [inst] with the configured method.
 
     @raise Invalid_argument when [pinned] entries are out of range,
-    scheduled outside their request's window, duplicated, or combined
-    with [Hybrid]; when [forced] entries are out of range, duplicated,
-    also pinned, or combined with [Greedy]/[Hybrid]/[Rounded]; when
-    [Greedy]/[Hybrid]/[Rounded] run without fixed node mappings; when
+    scheduled outside their request's window, or duplicated; when
+    [forced] entries are out of range, duplicated, also pinned, or
+    combined with [Greedy]/[Rounded]; when [Greedy]/[Rounded] run
+    without fixed node mappings; when
     [flow_form = Path] is combined with a non-cΣ model or an instance
     without fixed node mappings.
 
@@ -263,7 +242,8 @@ val build :
     document carrying ["schema_version"] — the encoding used by
     [tvnep_solve --json] and the bench result files.  Non-finite numbers
     are encoded as strings (["inf"], ["nan"]) so decoding round-trips
-    exactly.  Trace sinks are not representable and are omitted. *)
+    exactly.  A document naming an unknown ["method"] decodes to
+    [Error]. *)
 
 val schema_version : int
 
@@ -273,34 +253,3 @@ val stats_to_json : Runtime.Stats.t -> Statsutil.Json.t
 val stats_of_json : Statsutil.Json.t -> (Runtime.Stats.t, string) result
 val solution_to_json : Solution.t -> Statsutil.Json.t
 val solution_of_json : Statsutil.Json.t -> (Solution.t, string) result
-
-(** {2 Deprecated pre-[run] surface} *)
-
-type options = {
-  kind : model_kind;
-  objective : Objective.t;
-  use_cuts : bool;
-  pairwise_cuts : bool;
-  seed_with_greedy : bool;
-  mip : Mip.Branch_bound.params;
-  budget : Runtime.Budget.t option;
-  trace : Runtime.Trace.sink option;
-}
-[@@deprecated "use Solver.Options.make"]
-
-(* The wrappers below necessarily mention the deprecated [options] type;
-   silence the alert for the rest of this interface only (their own
-   [@@deprecated] marks still fire at external use sites). *)
-[@@@alert "-deprecated"]
-
-val default_options : options
-  [@@deprecated "use Solver.Options.default"]
-
-val solve : Instance.t -> options -> outcome
-  [@@deprecated "use Solver.run"]
-(** [run] with [method_ = Exact]. *)
-
-val solve_lp_relaxation : Instance.t -> options -> Lp.Simplex.result
-  [@@deprecated "use Solver.run with ~method_:Lp_only"]
-(** Root LP relaxation only — kept for its raw {!Lp.Simplex.result}
-    shape; [run] reports the same solve as an {!outcome}. *)

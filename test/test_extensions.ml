@@ -161,50 +161,6 @@ let seeding_tests =
         | None -> Alcotest.fail "seed should guarantee an incumbent");
   ]
 
-let lp_io_tests =
-  [
-    Alcotest.test_case "writer covers all sections" `Quick (fun () ->
-        let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m ~lb:(-1.0) ~ub:2.0 "x y" in
-        let b = Lp.Model.add_var m ~kind:Lp.Model.Binary "b" in
-        let g = Lp.Model.add_var m ~ub:5.0 ~kind:Lp.Model.Integer "g" in
-        let free = Lp.Model.add_var m ~lb:neg_infinity "free" in
-        Lp.Model.add_range m ~lo:1.0 ~hi:3.0
-          (Lp.Expr.of_terms [ ((x :> int), 1.0); ((b :> int), 2.0) ]);
-        Lp.Model.add_eq m
-          (Lp.Expr.of_terms [ ((g :> int), 1.0); ((free :> int), -1.0) ])
-          0.5;
-        Lp.Model.set_objective m Lp.Model.Maximize
-          (Lp.Expr.of_terms [ ((x :> int), 3.0); ((g :> int), -1.0) ]);
-        let text = Lp.Lp_io.to_string m in
-        let contains needle =
-          let nl = String.length needle and tl = String.length text in
-          let rec scan i =
-            i + nl <= tl && (String.sub text i nl = needle || scan (i + 1))
-          in
-          scan 0
-        in
-        List.iter
-          (fun needle ->
-            Alcotest.(check bool) ("contains " ^ needle) true (contains needle))
-          [ "Maximize"; "Subject To"; "Bounds"; "General"; "Binary"; "End";
-            "x_y"; "free free" ]);
-    Alcotest.test_case "roundtrip through a file" `Quick (fun () ->
-        let m = Lp.Model.create () in
-        let x = Lp.Model.add_var m "x" in
-        Lp.Model.add_le m (Lp.Expr.var (x :> int)) 1.0;
-        Lp.Model.set_objective m Lp.Model.Minimize (Lp.Expr.var (x :> int));
-        let path = Filename.temp_file "model" ".lp" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            Lp.Lp_io.save path m;
-            let ic = open_in path in
-            let n = in_channel_length ic in
-            close_in ic;
-            Alcotest.(check bool) "non-empty" true (n > 0)));
-  ]
-
 (* Two unit-duration requests forced onto the same host pair: back-to-back
    is the best any schedule can do. *)
 let makespan_fixture () =
@@ -304,7 +260,7 @@ let hose_tests =
                  ~bandwidth:1.0 ~duration:1.0 ~start_min:0.0 ~end_max:2.0)));
   ]
 
-let hybrid_and_preplaced_tests =
+let preplaced_tests =
   [
     Alcotest.test_case "greedy honours preplacements" `Quick (fun () ->
         let inst = makespan_fixture () in
@@ -329,65 +285,6 @@ let hybrid_and_preplaced_tests =
              ignore (Tvnep.Greedy.run ~preplaced:[ (7, 0.0) ] inst);
              false
            with Invalid_argument _ -> true));
-    Alcotest.test_case "hybrid solves and validates" `Slow (fun () ->
-        let rng = Workload.Rng.create 61L in
-        let p = { Tvnep.Scenario.scaled with num_requests = 5; flexibility = 2.0 } in
-        let inst = Tvnep.Scenario.generate rng p in
-        let o =
-          Tvnep.Solver.run inst
-            (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Hybrid
-               ~heavy_fraction:0.4
-               ~mip:{ Mip.Branch_bound.default_params with time_limit = 30.0 }
-               ())
-        in
-        let sol =
-          match o.Tvnep.Solver.solution with
-          | Some sol -> sol
-          | None -> Alcotest.fail "no solution"
-        in
-        let heavy =
-          match o.Tvnep.Solver.hybrid with
-          | Some h -> h.Tvnep.Solver.heavy
-          | None -> Alcotest.fail "no hybrid detail"
-        in
-        Alcotest.(check bool) "valid" true (Tvnep.Validator.is_feasible inst sol);
-        Alcotest.(check int) "two heavy hitters" 2 (List.length heavy);
-        (* heavy hitters are the highest-revenue requests *)
-        let revenue i =
-          let r = Tvnep.Instance.request inst i in
-          r.Tvnep.Request.duration *. Tvnep.Request.total_node_demand r
-        in
-        let heavy_min =
-          List.fold_left (fun acc i -> Float.min acc (revenue i)) infinity heavy
-        in
-        List.iter
-          (fun i ->
-            if not (List.mem i heavy) then
-              Alcotest.(check bool) "light below heavy" true
-                (revenue i <= heavy_min +. 1e-9))
-          (List.init (Tvnep.Instance.num_requests inst) (fun i -> i)));
-    Alcotest.test_case "hybrid at least matches plain greedy" `Slow (fun () ->
-        let rng = Workload.Rng.create 67L in
-        let p = { Tvnep.Scenario.scaled with num_requests = 5; flexibility = 2.0 } in
-        let inst = Tvnep.Scenario.generate rng p in
-        let plain, _ = Tvnep.Greedy.run inst in
-        let hybrid =
-          let o =
-            Tvnep.Solver.run inst
-              (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Hybrid
-                 ~mip:{ Mip.Branch_bound.default_params with time_limit = 30.0 }
-                 ())
-          in
-          match o.Tvnep.Solver.solution with
-          | Some sol -> sol
-          | None -> Alcotest.fail "no solution"
-        in
-        (* Not a theorem in general, but the exact heavy pass plus a
-           second greedy chance should not collapse on these seeds; treat
-           a large regression as a bug. *)
-        Alcotest.(check bool) "no collapse" true
-          (hybrid.Tvnep.Solution.objective
-          >= 0.8 *. plain.Tvnep.Solution.objective));
   ]
 
 let gantt_tests =
@@ -427,9 +324,8 @@ let suite =
     ("tvnep.free_mapping", free_mapping_tests);
     ("tvnep.discrete", discrete_tests);
     ("tvnep.seeding", seeding_tests);
-    ("lp.lp_io", lp_io_tests);
     ("tvnep.makespan", makespan_tests);
     ("tvnep.hose", hose_tests);
-    ("tvnep.hybrid", hybrid_and_preplaced_tests);
+    ("tvnep.preplaced", preplaced_tests);
     ("tvnep.gantt", gantt_tests);
   ]

@@ -1,6 +1,6 @@
 (* The runtime core: budgets (wall and deterministic work clock),
    budget-threading through the simplex and branch-and-bound, the
-   one-clock accounting of the solver/hybrid layers, and the domain
+   one-clock accounting of the solver layers, and the domain
    pool's order- and parallelism-invariance. *)
 
 module Budget = Runtime.Budget
@@ -296,48 +296,39 @@ let accounting_tests =
           (o.Tvnep.Solver.runtime
            >= s.Runtime.Stats.greedy_time +. s.Runtime.Stats.build_time
               +. s.Runtime.Stats.search_time -. 1e-9));
-    Alcotest.test_case "trace sees the phases in order" `Slow (fun () ->
+    Alcotest.test_case "span sees the phases in order" `Slow (fun () ->
         let inst = scenario_instance 3L in
-        let sink, collected = Runtime.Trace.collector () in
+        let prof = Runtime.Span.create () in
+        ignore
+          (Tvnep.Solver.run inst
+             (Tvnep.Solver.Options.make ~seed_with_greedy:true
+                ~budget:(Budget.create ~deterministic:1000.0 ())
+                ~prof ()));
+        match Runtime.Span.tree_of (Runtime.Span.spans prof) with
+        | [ solve ] ->
+          Alcotest.(check string) "root" "solve" solve.Runtime.Span.tree_name;
+          Alcotest.(check (list string)) "build, greedy, search"
+            [ "build"; "greedy"; "search" ]
+            (List.map
+               (fun (c : Runtime.Span.tree) -> c.Runtime.Span.tree_name)
+               solve.Runtime.Span.children)
+        | _ -> Alcotest.fail "expected a single solve root");
+    Alcotest.test_case "Lp_only honours mip.time_limit without a budget"
+      `Quick (fun () ->
+        (* No [~budget]: the solve derives its own from [mip.time_limit],
+           so a zero limit must stop it before any LP work, never run
+           the relaxation unlimited. *)
+        let inst = scenario_instance 7L in
         let o =
           Tvnep.Solver.run inst
-            (Tvnep.Solver.Options.make ~seed_with_greedy:true
-               ~budget:(Budget.create ~deterministic:1000.0 ())
-               ~trace:sink ())
-        in
-        ignore o;
-        let phases =
-          List.filter_map
-            (function
-              | _, Runtime.Trace.Phase_start name -> Some name | _ -> None)
-            (collected ())
-        in
-        Alcotest.(check (list string)) "build, greedy, search"
-          [ "build"; "greedy"; "search" ] phases);
-    Alcotest.test_case "hybrid combines both passes on one clock" `Slow
-      (fun () ->
-        let inst = scenario_instance 3L in
-        let o =
-          Tvnep.Solver.run inst
-            (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Hybrid
-               ~budget:(Budget.create ~deterministic:1000.0 ())
+            (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Lp_only
+               ~mip:{ Mip.Branch_bound.default_params with time_limit = 0.0 }
                ())
         in
-        (* Exact pass and greedy scan ran sequentially on the shared
-           clock, so the combined runtime dominates the sum of the two
-           per-pass spans (the old two-clock version could report less
-           than either). *)
-        let heavy_runtime =
-          match o.Tvnep.Solver.hybrid with
-          | Some h -> h.Tvnep.Solver.heavy_outcome.Tvnep.Solver.runtime
-          | None -> Alcotest.fail "no hybrid detail"
-        in
-        Alcotest.(check bool) "combined covers both passes" true
-          (o.Tvnep.Solver.runtime
-           >= heavy_runtime
-              +. o.Tvnep.Solver.stats.Runtime.Stats.greedy_time -. 1e-9);
-        Alcotest.(check bool) "counters merged" true
-          (o.Tvnep.Solver.stats.Runtime.Stats.greedy_lp_solves > 0));
+        Alcotest.(check string) "stopped by the derived budget"
+          "budget_exhausted"
+          (Tvnep.Solver.status_to_string o.Tvnep.Solver.status);
+        Alcotest.(check int) "no pivots" 0 o.Tvnep.Solver.lp_iterations);
   ]
 
 (* ---- Domain pool ------------------------------------------------------ *)

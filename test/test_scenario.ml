@@ -66,11 +66,15 @@ let scenario_tests =
 let io_tests =
   [
     Alcotest.test_case "roundtrip with fixed mappings" `Quick (fun () ->
-        let rng = Workload.Rng.create 3L in
-        let inst = Tvnep.Scenario.generate rng Tvnep.Scenario.scaled in
-        let text = Tvnep.Instance_io.to_string inst in
-        let back = Tvnep.Instance_io.of_string text in
-        Alcotest.(check string) "fixpoint" text (Tvnep.Instance_io.to_string back));
+        List.iter
+          (fun params ->
+            let rng = Workload.Rng.create 3L in
+            let inst = Tvnep.Scenario.generate rng params in
+            let text = Tvnep.Instance_io.to_string inst in
+            let back = Tvnep.Instance_io.of_string text in
+            Alcotest.(check string) "fixpoint" text
+              (Tvnep.Instance_io.to_string back))
+          [ Tvnep.Scenario.scaled; Tvnep.Scenario.paper ]);
     Alcotest.test_case "roundtrip without mappings" `Quick (fun () ->
         let g = Graphs.Generators.grid ~rows:2 ~cols:2 in
         let substrate = Tvnep.Substrate.uniform g ~node_cap:2.0 ~link_cap:3.0 in
@@ -99,12 +103,33 @@ let io_tests =
         let inst = Tvnep.Instance_io.of_string text in
         Alcotest.(check int) "one request" 1 (Tvnep.Instance.num_requests inst));
     Alcotest.test_case "parse errors carry line numbers" `Quick (fun () ->
-        let bad = "tvnep 1\nhorizon oops\n" in
-        (match Tvnep.Instance_io.of_string bad with
-        | exception Tvnep.Instance_io.Parse_error (2, _) -> ()
-        | exception Tvnep.Instance_io.Parse_error (n, m) ->
-          Alcotest.fail (Printf.sprintf "wrong line %d: %s" n m)
-        | _ -> Alcotest.fail "expected parse error"));
+        (* A NaN horizon, capacity or duration would make a trivially
+           feasible request "infeasible" or "failed", and a huge node
+           count would exhaust memory: each is a parse error at its
+           directive's line. *)
+        let text ?(horizon = "2.0") ?(nodes = "1") ?(cap = "1.0")
+            ?(duration = "1.0") () =
+          Printf.sprintf
+            "tvnep 1\nhorizon %s\nsubstrate-nodes %s\nnode-cap 0 %s\n\
+             request r duration %s window 0.0 2.0\n  vnode 0 0.5\nend\n"
+            horizon nodes cap duration
+        in
+        ignore (Tvnep.Instance_io.of_string (text ()));
+        List.iter
+          (fun (line, bad) ->
+            match Tvnep.Instance_io.of_string bad with
+            | exception Tvnep.Instance_io.Parse_error (n, m) ->
+              Alcotest.(check int) m line n
+            | _ -> Alcotest.fail ("accepted:\n" ^ bad))
+          [
+            (2, text ~horizon:"oops" ());
+            (2, text ~horizon:"nan" ());
+            (2, text ~horizon:"inf" ());
+            (4, text ~cap:"nan" ());
+            (5, text ~duration:"nan" ());
+            (3, text ~nodes:"1000000000000" ());
+            (3, text ~nodes:"-1" ());
+          ]);
     Alcotest.test_case "unterminated request rejected" `Quick (fun () ->
         let bad =
           "tvnep 1\nhorizon 2.0\nsubstrate-nodes 1\nnode-cap 0 1.0\n\

@@ -44,8 +44,7 @@ let budget_tests =
             Alcotest.(check int) (tag "no model built") 0
               o.Tvnep.Solver.model_vars;
             Alcotest.(check int) (tag "no nodes") 0 o.Tvnep.Solver.nodes)
-          [ Tvnep.Solver.Exact; Tvnep.Solver.Greedy; Tvnep.Solver.Hybrid;
-            Tvnep.Solver.Lp_only ]);
+          [ Tvnep.Solver.Exact; Tvnep.Solver.Greedy; Tvnep.Solver.Lp_only ]);
     Alcotest.test_case "pinned requests are honoured by the exact solve"
       `Quick (fun () ->
         let inst = scenario ~k:3 11L in
@@ -105,7 +104,25 @@ let json_tests =
         | Ok o' ->
           (* Stdlib.compare is nan-safe (compare nan nan = 0), which is
              exactly what bound/gap need. *)
-          Alcotest.(check int) "outcome round-trip" 0 (Stdlib.compare o o'));
+          Alcotest.(check int) "outcome round-trip" 0 (Stdlib.compare o o');
+          (* A method this build no longer has is a typed decode error,
+             not an exception or a silently substituted method. *)
+          let doc =
+            match doc with
+            | Statsutil.Json.Obj fields ->
+              Statsutil.Json.Obj
+                (List.map
+                   (fun (k, v) ->
+                     if k = "method" then (k, Statsutil.Json.Str "hybrid")
+                     else (k, v))
+                   fields)
+            | _ -> Alcotest.fail "outcome did not encode as an object"
+          in
+          match Tvnep.Solver.outcome_of_json doc with
+          | Error msg ->
+            Alcotest.(check string) "unknown method" "unknown method \"hybrid\""
+              msg
+          | Ok _ -> Alcotest.fail "method \"hybrid\" was accepted");
     Alcotest.test_case "budget-exhausted outcome round-trips (nan/inf)"
       `Quick (fun () ->
         (* The degenerate outcome carries nan bound/gap and infinite
@@ -379,9 +396,6 @@ let config_tests =
           (Tvnep.Solver.Options.make ~pinned:[ (0, ok) ] ~forced:[ 0 ] ());
         raises "Solver.run: forced requests are not supported with Greedy"
           (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Greedy
-             ~forced:[ 0 ] ());
-        raises "Solver.run: forced requests are not supported with Hybrid"
-          (Tvnep.Solver.Options.make ~method_:Tvnep.Solver.Hybrid
              ~forced:[ 0 ] ()));
   ]
 
