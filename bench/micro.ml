@@ -193,7 +193,9 @@ let sim_cases () =
    per-solve wall, at the RHS sparsity the dual simplex actually feeds
    them (a unit vector: one [unit_row] BTRAN per pivot).  Both kernels
    run over the same factors, and every pair of solves is checked for
-   agreement, so the gate also pins the semantics. *)
+   agreement, so the gate also pins the semantics.  The record also
+   carries the wall of refactorizing that basis, so a return of a
+   quadratic factorization shows up as a diff in the committed file. *)
 let kernel_ab_floor = 2.0
 
 type kernel_ab = {
@@ -201,6 +203,8 @@ type kernel_ab = {
   btran_dense_us : float;
   ftran_reach_us : float;
   ftran_dense_us : float;
+  factorize_us : float;  (* median in-place refactorization wall *)
+  factorize_nnz : int;   (* entries of L and U, diagonal included *)
 }
 
 let kernel_ab_case () =
@@ -213,9 +217,20 @@ let kernel_ab_case () =
   assert (r.Lp.Simplex.status = Lp.Simplex.Optimal);
   let basic = (Option.get r.Lp.Simplex.final_basis).Lp.Simplex.basic in
   let n = sf.Lp.Std_form.n_rows in
-  let f =
-    Slu.factorize ~n ~col:(fun pos g ->
-        Lina.Csc.iter_col sf.Lp.Std_form.a basic.(pos) g)
+  let col pos g = Lina.Csc.iter_col sf.Lp.Std_form.a basic.(pos) g in
+  let f = Slu.factorize ~n ~col in
+  (* The refactorization the warm re-solve path runs: in place, into
+     storage the factors retain.  Two warm-up runs grow both buffers. *)
+  let ft = Slu.ft_of_factors f in
+  let refactorize () = Slu.ft_refactorize ft ~col in
+  refactorize ();
+  refactorize ();
+  let factorize_us =
+    Statsutil.Stats.median
+      (List.init 15 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           refactorize ();
+           (Unix.gettimeofday () -. t0) *. 1e6))
   in
   let scratch = Slu.scratch n in
   let b = Array.make n 0.0
@@ -273,6 +288,8 @@ let kernel_ab_case () =
     ftran_reach_us =
       median_us (fun b -> ignore (Slu.ftran_reach f scratch b : int));
     ftran_dense_us = median_us (fun b -> Slu.ftran_in_place f ~work b);
+    factorize_us;
+    factorize_nnz = Slu.nnz f;
   }
 
 (* --- update-form vs eta-form A/B gate ---------------------------------- *)
@@ -334,7 +351,7 @@ let json_of_cases cases ab uab (stats : Runtime.Stats.t) =
   let open Statsutil.Json in
   Obj
     [
-      ("schema", Str "tvnep-bench-simplex/3");
+      ("schema", Str "tvnep-bench-simplex/4");
       ("clock", Str "deterministic work ticks (1 tick = 1 work unit)");
       ( "cases",
         List
@@ -359,6 +376,8 @@ let json_of_cases cases ab uab (stats : Runtime.Stats.t) =
             ("btran_dense_us", Num ab.btran_dense_us);
             ("ftran_reach_us", Num ab.ftran_reach_us);
             ("ftran_dense_us", Num ab.ftran_dense_us);
+            ("factorize_us", Num ab.factorize_us);
+            ("factorize_nnz", Num (float_of_int ab.factorize_nnz));
             ("floor", Num kernel_ab_floor);
           ] );
       ( "update_ab",
@@ -394,7 +413,7 @@ let validate_json_string s =
   | Error msg -> Error ("not valid JSON: " ^ msg)
   | Ok doc -> (
     match member "schema" doc with
-    | Some (Str "tvnep-bench-simplex/3") -> (
+    | Some (Str "tvnep-bench-simplex/4") -> (
       match Option.bind (member "cases" doc) to_list with
       | None | Some [] -> Error "missing or empty \"cases\" list"
       | Some cases -> (
@@ -422,7 +441,7 @@ let validate_json_string s =
           in
           require_obj "kernel_ab"
             [ "btran_reach_us"; "btran_dense_us"; "ftran_reach_us";
-              "ftran_dense_us"; "floor" ]
+              "ftran_dense_us"; "factorize_us"; "factorize_nnz"; "floor" ]
             (fun () ->
               require_obj "update_ab"
                 [ "update_ticks_median"; "eta_ticks_median";
@@ -482,6 +501,8 @@ let run ?json_path () =
      ftran: reach %.2f us vs dense-scan %.2f us (%.2fx)\n"
     ab.btran_reach_us ab.btran_dense_us btran_speedup ab.ftran_reach_us
     ab.ftran_dense_us ftran_speedup;
+  Printf.printf "factorize: %.1f us in place (%d factor entries)\n"
+    ab.factorize_us ab.factorize_nnz;
   if Float.min btran_speedup ftran_speedup < kernel_ab_floor then begin
     Printf.eprintf
       "KERNEL AB REGRESSION: median per-solve speedup %.2fx (btran) / %.2fx \

@@ -8,6 +8,28 @@
 
 open Cmdliner
 
+(* ---- instance files ---------------------------------------------------- *)
+
+(* Exit status of every subcommand whose instance file cannot be read or
+   parsed; the reason goes to stderr as FILE:LINE: message. *)
+let exit_bad_instance = 4
+
+let exits =
+  Cmd.Exit.info exit_bad_instance
+    ~doc:"the instance file cannot be read or parsed."
+  :: Cmd.Exit.defaults
+
+let load_instance file =
+  match Tvnep.Instance_io.load file with
+  | inst -> inst
+  | exception Tvnep.Instance_io.Parse_error (line, msg) ->
+    if line > 0 then Printf.eprintf "%s:%d: %s\n%!" file line msg
+    else Printf.eprintf "%s: %s\n%!" file msg;
+    exit exit_bad_instance
+  | exception Sys_error msg ->
+    prerr_endline msg;
+    exit exit_bad_instance
+
 (* ---- shared arguments ------------------------------------------------- *)
 
 let file_arg =
@@ -189,7 +211,7 @@ let solve_cmd =
   let run file model objective no_cuts flow_form seed_greedy slot time_limit
       jobs verbose gantt json profile =
     setup_logs verbose;
-    let inst = Tvnep.Instance_io.load file in
+    let inst = load_instance file in
     let mip =
       { Mip.Branch_bound.default_params with time_limit; jobs }
     in
@@ -234,7 +256,8 @@ let solve_cmd =
       code
   in
   Cmd.v
-    (Cmd.info "solve" ~doc:"Solve an instance exactly with a chosen model")
+    (Cmd.info "solve" ~exits
+       ~doc:"Solve an instance exactly with a chosen model")
     Term.(
       const run $ file_arg $ model_arg $ objective_arg $ no_cuts_arg
       $ flow_form_arg $ seed_greedy_arg $ slot_arg $ time_limit_arg $ jobs_arg
@@ -245,7 +268,7 @@ let solve_cmd =
 let greedy_cmd =
   let run file verbose gantt json profile =
     setup_logs verbose;
-    let inst = Tvnep.Instance_io.load file in
+    let inst = load_instance file in
     let prof = Option.map (fun _ -> Runtime.Span.create ()) profile in
     let o =
       Tvnep.Solver.run inst
@@ -270,7 +293,8 @@ let greedy_cmd =
       | None -> 1
   in
   Cmd.v
-    (Cmd.info "greedy" ~doc:"Run the greedy heuristic on an instance")
+    (Cmd.info "greedy" ~exits
+       ~doc:"Run the greedy heuristic on an instance")
     Term.(
       const run $ file_arg $ verbose_arg $ gantt_arg $ json_arg $ profile_arg)
 
@@ -391,7 +415,7 @@ let serve_cmd =
     setup_logs verbose;
     let inst =
       match file with
-      | Some f -> Tvnep.Instance_io.load f
+      | Some f -> load_instance f
       | None ->
         let rng = Workload.Rng.create (Int64.of_int seed) in
         Tvnep.Scenario.generate rng
@@ -481,7 +505,7 @@ let serve_cmd =
     if Tvnep.Validator.is_feasible inst s.Service.Engine.solution then 0 else 3
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:"Serve the instance's requests as an online event stream with \
              deadline-budgeted admission (exact, optional reconfiguration, \
              optional LP rounding, greedy fallback, optional pricing, then \
@@ -529,7 +553,7 @@ let explain_cmd =
     setup_logs verbose;
     let inst =
       match file with
-      | Some f -> Tvnep.Instance_io.load f
+      | Some f -> load_instance f
       | None ->
         let rng = Workload.Rng.create (Int64.of_int seed) in
         Tvnep.Scenario.generate rng
@@ -591,7 +615,7 @@ let explain_cmd =
     else 0
   in
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info "explain" ~exits
        ~doc:"Solve an instance with profiling on and print a top-down phase \
              tree: per phase the work-clock ticks spent below it, its own \
              self ticks, and call counts.  Per-phase self ticks sum exactly \
@@ -674,12 +698,12 @@ let generate_cmd =
 
 let show_cmd =
   let run file =
-    let inst = Tvnep.Instance_io.load file in
+    let inst = load_instance file in
     Format.printf "%a@." Tvnep.Instance.pp inst;
     0
   in
   Cmd.v
-    (Cmd.info "show" ~doc:"Pretty-print an instance file")
+    (Cmd.info "show" ~exits ~doc:"Pretty-print an instance file")
     Term.(const run $ file_arg)
 
 let () =

@@ -137,7 +137,12 @@ module Sparse = struct
      inverse permutations: the transposed structures are what turn the
      BTRAN gather loops into scatter loops that can follow a Gilbert–
      Peierls reach, and the inverse permutations map a sparse RHS into
-     factor space without an O(n) search. *)
+     factor space without an O(n) search.
+
+     The entry arrays are storage with capacity: factor column [j]'s
+     entries are [l_ptr.(j) .. l_ptr.(j+1)-1], and anything past
+     [l_ptr.(n)] (resp. [u_ptr.(n)], [lr_ptr.(n)], [ur_ptr.(n)]) is slack
+     kept so a refactorization into the same storage need not allocate. *)
   type t = {
     n : int;
     l_ptr : int array;
@@ -160,29 +165,183 @@ module Sparse = struct
   }
 
   let dim f = f.n
-  let nnz f = Array.length f.l_idx + Array.length f.u_idx + f.n
+  let nnz f = f.l_ptr.(f.n) + f.u_ptr.(f.n) + f.n
 
-  let inverse_perm p =
-    let n = Array.length p in
-    let inv = Array.make n 0 in
+  (* Factor storage of dimension [n] with no entry capacity yet. *)
+  let buffers n =
+    {
+      n;
+      l_ptr = Array.make (n + 1) 0;
+      l_idx = [||];
+      l_val = [||];
+      u_ptr = Array.make (n + 1) 0;
+      u_idx = [||];
+      u_val = [||];
+      u_diag = Array.make n 0.0;
+      p = Array.make n 0;
+      q = Array.make n 0;
+      pinv = Array.make n 0;
+      qinv = Array.make n 0;
+      lr_ptr = Array.make (n + 1) 0;
+      lr_idx = [||];
+      lr_val = [||];
+      ur_ptr = Array.make (n + 1) 0;
+      ur_idx = [||];
+      ur_val = [||];
+    }
+
+  let of_diagonal d =
+    let n = Array.length d in
+    Array.iteri
+      (fun i v ->
+        if Float.abs v < Tol.pivot then raise (Singular i))
+      d;
+    let f = buffers n in
+    Array.blit d 0 f.u_diag 0 n;
     for i = 0 to n - 1 do
-      inv.(p.(i)) <- i
+      f.p.(i) <- i;
+      f.q.(i) <- i;
+      f.pinv.(i) <- i;
+      f.qinv.(i) <- i
     done;
-    inv
+    f
 
-  (* Row-compressed copy of a column-compressed factor (counting sort on
-     the row index).  One pass per refactorization, O(nnz). *)
-  let transpose_ccs n ptr idx value =
-    let m = Array.length idx in
-    let tptr = Array.make (n + 1) 0 in
+  (* Growable entry store for one factor. *)
+  type grow = {
+    mutable g_idx : int array;
+    mutable g_val : float array;
+    mutable g_len : int;
+  }
+
+  let grow g =
+    let cap = max 64 (2 * g.g_len) in
+    let idx = Array.make cap 0 and value = Array.make cap 0.0 in
+    Array.blit g.g_idx 0 idx 0 g.g_len;
+    Array.blit g.g_val 0 value 0 g.g_len;
+    g.g_idx <- idx;
+    g.g_val <- value
+
+  (* Inlined so the pushed float is stored unboxed. *)
+  let[@inline] grow_push g i v =
+    if g.g_len = Array.length g.g_idx then grow g;
+    g.g_idx.(g.g_len) <- i;
+    g.g_val.(g.g_len) <- v;
+    g.g_len <- g.g_len + 1
+
+  (* Factorization workspace, reused across factorizations of one
+     dimension: the dense accumulator (indexed by original row, all zero
+     between columns), stamp marks over original rows (the touched list)
+     and over factor steps (the symbolic reach), the reach list, column
+     counts and counting-sort buckets, and the transpose cursor.  Marks
+     compare against [stamp], which only grows, so they never need
+     clearing; the accumulator is re-zeroed when a factorization starts,
+     so one abandoned by an exception cannot poison the next.  The two
+     callbacks handed to the column accessor are built once and read the
+     current column and touched count from the record. *)
+  type workspace = {
+    w_n : int;
+    acc : float array;
+    rmark : int array;
+    touched : int array;
+    kmark : int array;
+    reach : int array;
+    counts : int array;
+    cursor : int array;
+    mutable buckets : int array;
+    mutable stamp : int;
+    mutable ntouch : int;
+    mutable jcur : int;
+    count_entry : int -> float -> unit;
+    scatter : int -> float -> unit;
+  }
+
+  let workspace n =
+    let rec ws =
+      {
+        w_n = n;
+        acc = Array.make n 0.0;
+        rmark = Array.make n 0;
+        touched = Array.make n 0;
+        kmark = Array.make n 0;
+        reach = Array.make n 0;
+        counts = Array.make n 0;
+        cursor = Array.make (n + 1) 0;
+        buckets = [||];
+        stamp = 0;
+        ntouch = 0;
+        jcur = 0;
+        count_entry =
+          (fun _ _ -> ws.counts.(ws.jcur) <- ws.counts.(ws.jcur) + 1);
+        scatter =
+          (fun i v ->
+            if ws.rmark.(i) <> ws.stamp then begin
+              ws.rmark.(i) <- ws.stamp;
+              ws.touched.(ws.ntouch) <- i;
+              ws.ntouch <- ws.ntouch + 1
+            end;
+            ws.acc.(i) <- ws.acc.(i) +. v);
+      }
+    in
+    ws
+
+  (* Max-heap sift-down of [a.(root)] within [a.(0 .. last)]. *)
+  let rec sift_down (a : int array) root last =
+    let child = (2 * root) + 1 in
+    if child <= last then begin
+      let c =
+        if child < last && a.(child + 1) > a.(child) then child + 1 else child
+      in
+      if a.(c) > a.(root) then begin
+        let v = a.(c) in
+        a.(c) <- a.(root);
+        a.(root) <- v;
+        sift_down a c last
+      end
+    end
+
+  (* Sorts [a.(0 .. len-1)] ascending in place: insertion sort for the
+     short reaches that dominate, heapsort above that. *)
+  let sort_prefix (a : int array) len =
+    if len <= 32 then
+      for i = 1 to len - 1 do
+        let v = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > v do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- v
+      done
+    else begin
+      for i = (len / 2) - 1 downto 0 do
+        sift_down a i (len - 1)
+      done;
+      for last = len - 1 downto 1 do
+        let v = a.(0) in
+        a.(0) <- a.(last);
+        a.(last) <- v;
+        sift_down a 0 (last - 1)
+      done
+    end
+
+  let fit_int a len = if Array.length a >= len then a else Array.make len 0
+  let fit_float a len = if Array.length a >= len then a else Array.make len 0.0
+
+  (* Row-compressed copy of the first [m] entries of a column-compressed
+     factor (counting sort on the row index) into [tptr] and the storage
+     of [tidx]/[tval], grown when too small.  O(n + nnz). *)
+  let transpose_into ws n ptr idx value tptr tidx tval =
+    let m = ptr.(n) in
+    let tidx = fit_int tidx m and tval = fit_float tval m in
+    Array.fill tptr 0 (n + 1) 0;
     for e = 0 to m - 1 do
       tptr.(idx.(e) + 1) <- tptr.(idx.(e) + 1) + 1
     done;
     for i = 0 to n - 1 do
       tptr.(i + 1) <- tptr.(i + 1) + tptr.(i)
     done;
-    let tidx = Array.make m 0 and tval = Array.make m 0.0 in
-    let cursor = Array.copy tptr in
+    let cursor = ws.cursor in
+    Array.blit tptr 0 cursor 0 (n + 1);
     for j = 0 to n - 1 do
       for e = ptr.(j) to ptr.(j + 1) - 1 do
         let i = idx.(e) in
@@ -192,103 +351,117 @@ module Sparse = struct
         cursor.(i) <- at + 1
       done
     done;
-    (tptr, tidx, tval)
+    (tidx, tval)
 
-  let of_diagonal d =
-    let n = Array.length d in
-    Array.iteri
-      (fun i v ->
-        if Float.abs v < Tol.pivot then raise (Singular i))
-      d;
-    let id = Array.init n (fun i -> i) in
-    {
-      n;
-      l_ptr = Array.make (n + 1) 0;
-      l_idx = [||];
-      l_val = [||];
-      u_ptr = Array.make (n + 1) 0;
-      u_idx = [||];
-      u_val = [||];
-      u_diag = Array.copy d;
-      p = id;
-      q = Array.copy id;
-      pinv = Array.copy id;
-      qinv = Array.copy id;
-      lr_ptr = Array.make (n + 1) 0;
-      lr_idx = [||];
-      lr_val = [||];
-      ur_ptr = Array.make (n + 1) 0;
-      ur_idx = [||];
-      ur_val = [||];
-    }
-
-  (* Growable entry store for one factor. *)
-  type grow = {
-    mutable g_idx : int array;
-    mutable g_val : float array;
-    mutable g_len : int;
-  }
-
-  let grow_make () = { g_idx = Array.make 64 0; g_val = Array.make 64 0.0; g_len = 0 }
-
-  let grow_push g i v =
-    if g.g_len = Array.length g.g_idx then begin
-      let cap = 2 * g.g_len in
-      let idx = Array.make cap 0 and value = Array.make cap 0.0 in
-      Array.blit g.g_idx 0 idx 0 g.g_len;
-      Array.blit g.g_val 0 value 0 g.g_len;
-      g.g_idx <- idx;
-      g.g_val <- value
-    end;
-    g.g_idx.(g.g_len) <- i;
-    g.g_val.(g.g_len) <- v;
-    g.g_len <- g.g_len + 1
-
-  let factorize ~n ~col =
-    (* Static column order: ascending nonzero count, index as tie-break. *)
-    let counts = Array.make n 0 in
+  (* Static column order into [q]: ascending entry count, index as
+     tie-break — a stable counting sort, O(n + max count). *)
+  let order_columns ws ~col q =
+    let n = ws.w_n in
+    let counts = ws.counts in
+    Array.fill counts 0 n 0;
+    let maxc = ref 0 in
     for j = 0 to n - 1 do
-      col j (fun _ _ -> counts.(j) <- counts.(j) + 1)
+      ws.jcur <- j;
+      col j ws.count_entry;
+      if counts.(j) > !maxc then maxc := counts.(j)
     done;
-    let q = Array.init n (fun j -> j) in
-    Array.sort
-      (fun a b ->
-        match compare counts.(a) counts.(b) with 0 -> compare a b | c -> c)
-      q;
-    let p = Array.make n (-1) in
-    let pinv = Array.make n (-1) in  (* original row -> factor row *)
-    let x = Array.make n 0.0 in      (* dense accumulator, original rows *)
-    let mark = Array.make n (-1) in
-    let touched = Array.make n 0 in
-    let lg = grow_make () and ug = grow_make () in
-    let l_ptr = Array.make (n + 1) 0 in
-    let u_ptr = Array.make (n + 1) 0 in
-    let u_diag = Array.make n 0.0 in
+    let nb = !maxc + 2 in
+    if Array.length ws.buckets < nb then
+      ws.buckets <- Array.make (max nb (2 * Array.length ws.buckets)) 0;
+    let start = ws.buckets in
+    Array.fill start 0 nb 0;
+    for j = 0 to n - 1 do
+      start.(counts.(j) + 1) <- start.(counts.(j) + 1) + 1
+    done;
+    for c = 1 to nb - 1 do
+      start.(c) <- start.(c) + start.(c - 1)
+    done;
+    for j = 0 to n - 1 do
+      let c = counts.(j) in
+      q.(start.(c)) <- j;
+      start.(c) <- start.(c) + 1
+    done
+
+  (* Left-looking LU, one column at a time.  Column [jf] is scattered
+     into the accumulator, then eliminated against the factor steps it
+     depends on: the symbolic reach of its already-pivoted rows, where
+     step [kf] feeds step [pinv i] for every L entry of column [kf] whose
+     row [i] is already pivoted.  The reach is sorted and eliminated in
+     ascending step order — exactly the steps a dense scan over
+     [0 .. jf-1] would find nonzero, met in the same order, so every
+     factor entry, pivot and rounding matches that scan — at cost
+     O(edges of the reach), i.e. the flops, instead of O(jf).  L entries
+     are kept by original row until every row has its factor position.
+
+     The result is built in the storage of [into] (grown when too small)
+     and returned as a fresh record over it; [into] must not be used
+     again.  On [Singular] no caller-visible state has changed except
+     [into]'s contents. *)
+  let factorize_into ws (into : t) ~col =
+    let n = ws.w_n in
+    if into.n <> n then invalid_arg "Lu.Sparse.factorize: dimension";
+    let q = into.q
+    and p = into.p
+    and pinv = into.pinv
+    and l_ptr = into.l_ptr
+    and u_ptr = into.u_ptr
+    and u_diag = into.u_diag in
+    order_columns ws ~col q;
+    Array.fill pinv 0 n (-1);
+    let acc = ws.acc
+    and rmark = ws.rmark
+    and touched = ws.touched
+    and kmark = ws.kmark
+    and reach = ws.reach in
+    Array.fill acc 0 n 0.0;
+    let lg = { g_idx = into.l_idx; g_val = into.l_val; g_len = 0 } in
+    let ug = { g_idx = into.u_idx; g_val = into.u_val; g_len = 0 } in
     for jf = 0 to n - 1 do
-      let jorig = q.(jf) in
-      let ntouch = ref 0 in
-      let touch i =
-        if mark.(i) <> jf then begin
-          mark.(i) <- jf;
-          touched.(!ntouch) <- i;
-          incr ntouch
+      let stamp = ws.stamp + 1 in
+      ws.stamp <- stamp;
+      ws.ntouch <- 0;
+      col q.(jf) ws.scatter;
+      let ntouch = ref ws.ntouch in
+      (* Symbolic reach: roots are the steps whose pivot row the column
+         touches; the list doubles as the traversal worklist. *)
+      let nreach = ref 0 in
+      for t = 0 to !ntouch - 1 do
+        let k = pinv.(touched.(t)) in
+        if k >= 0 && kmark.(k) <> stamp then begin
+          kmark.(k) <- stamp;
+          reach.(!nreach) <- k;
+          incr nreach
         end
-      in
-      col jorig (fun i v ->
-          touch i;
-          x.(i) <- x.(i) +. v);
-      (* Forward-eliminate with the columns already factored, in factor
-         order; x.(p.(kf)) is final once step kf is reached, so the U
-         entries can be harvested on the fly. *)
-      for kf = 0 to jf - 1 do
-        let pr = p.(kf) in
-        let ukj = x.(pr) in
+      done;
+      let head = ref 0 in
+      while !head < !nreach do
+        let kf = reach.(!head) in
+        incr head;
+        for e = l_ptr.(kf) to l_ptr.(kf + 1) - 1 do
+          let k = pinv.(lg.g_idx.(e)) in
+          if k >= 0 && kmark.(k) <> stamp then begin
+            kmark.(k) <- stamp;
+            reach.(!nreach) <- k;
+            incr nreach
+          end
+        done
+      done;
+      sort_prefix reach !nreach;
+      (* Numeric elimination over the reach; acc.(p.(kf)) is final once
+         step kf is reached, so the U entries are harvested on the fly. *)
+      for t = 0 to !nreach - 1 do
+        let kf = reach.(t) in
+        let ukj = acc.(p.(kf)) in
         if ukj <> 0.0 then begin
           grow_push ug kf ukj;
           for e = l_ptr.(kf) to l_ptr.(kf + 1) - 1 do
             let i = lg.g_idx.(e) in
-            touch i;
-            x.(i) <- x.(i) -. (lg.g_val.(e) *. ukj)
+            if rmark.(i) <> stamp then begin
+              rmark.(i) <- stamp;
+              touched.(!ntouch) <- i;
+              incr ntouch
+            end;
+            acc.(i) <- acc.(i) -. (lg.g_val.(e) *. ukj)
           done
         end
       done;
@@ -298,7 +471,7 @@ module Sparse = struct
       for k = 0 to !ntouch - 1 do
         let i = touched.(k) in
         if pinv.(i) < 0 then begin
-          let a = Float.abs x.(i) in
+          let a = Float.abs acc.(i) in
           if
             a > !piv_val
             || (a = !piv_val && (!piv < 0 || i < !piv))
@@ -312,47 +485,43 @@ module Sparse = struct
       let ipiv = !piv in
       p.(jf) <- ipiv;
       pinv.(ipiv) <- jf;
-      let d = x.(ipiv) in
+      let d = acc.(ipiv) in
       u_diag.(jf) <- d;
       for k = 0 to !ntouch - 1 do
         let i = touched.(k) in
-        if pinv.(i) < 0 && x.(i) <> 0.0 then
-          (* L entries recorded by original row; remapped once every row
-             has its factor position. *)
-          grow_push lg i (x.(i) /. d);
-        x.(i) <- 0.0
+        if pinv.(i) < 0 && acc.(i) <> 0.0 then grow_push lg i (acc.(i) /. d);
+        acc.(i) <- 0.0
       done;
       l_ptr.(jf + 1) <- lg.g_len
     done;
-    let l_idx = Array.sub lg.g_idx 0 lg.g_len in
-    let l_val = Array.sub lg.g_val 0 lg.g_len in
-    for e = 0 to Array.length l_idx - 1 do
+    let l_idx = lg.g_idx and u_idx = ug.g_idx in
+    for e = 0 to lg.g_len - 1 do
       l_idx.(e) <- pinv.(l_idx.(e))
     done;
-    let u_idx = Array.sub ug.g_idx 0 ug.g_len in
-    let u_val = Array.sub ug.g_val 0 ug.g_len in
-    let lr_ptr, lr_idx, lr_val = transpose_ccs n l_ptr l_idx l_val in
-    let ur_ptr, ur_idx, ur_val = transpose_ccs n u_ptr u_idx u_val in
+    for jf = 0 to n - 1 do
+      into.qinv.(q.(jf)) <- jf
+    done;
+    let lr_idx, lr_val =
+      transpose_into ws n l_ptr l_idx lg.g_val into.lr_ptr into.lr_idx
+        into.lr_val
+    in
+    let ur_idx, ur_val =
+      transpose_into ws n u_ptr u_idx ug.g_val into.ur_ptr into.ur_idx
+        into.ur_val
+    in
     {
-      n;
-      l_ptr;
+      into with
       l_idx;
-      l_val;
-      u_ptr;
+      l_val = lg.g_val;
       u_idx;
-      u_val;
-      u_diag;
-      p;
-      q;
-      pinv = Array.copy pinv;
-      qinv = inverse_perm q;
-      lr_ptr;
+      u_val = ug.g_val;
       lr_idx;
       lr_val;
-      ur_ptr;
       ur_idx;
       ur_val;
     }
+
+  let factorize ~n ~col = factorize_into (workspace n) (buffers n) ~col
 
   (* B x = b.  [b] is indexed by original row, the result by basis
      position (the original column slot); [work] is an n-scratch.  The
@@ -646,15 +815,16 @@ module Sparse = struct
     let cap = max 4 cap in
     { ul_idx = Array.make cap 0; ul_val = Array.make cap 0.0; ul_len = 0 }
 
-  let ul_push l i v =
+  let ul_grow l =
     let cap = Array.length l.ul_idx in
-    if l.ul_len = cap then begin
-      let idx = Array.make (2 * cap) 0 and value = Array.make (2 * cap) 0.0 in
-      Array.blit l.ul_idx 0 idx 0 cap;
-      Array.blit l.ul_val 0 value 0 cap;
-      l.ul_idx <- idx;
-      l.ul_val <- value
-    end;
+    let idx = Array.make (2 * cap) 0 and value = Array.make (2 * cap) 0.0 in
+    Array.blit l.ul_idx 0 idx 0 cap;
+    Array.blit l.ul_val 0 value 0 cap;
+    l.ul_idx <- idx;
+    l.ul_val <- value
+
+  let[@inline] ul_push l i v =
+    if l.ul_len = Array.length l.ul_idx then ul_grow l;
     l.ul_idx.(l.ul_len) <- i;
     l.ul_val.(l.ul_len) <- v;
     l.ul_len <- l.ul_len + 1
@@ -699,12 +869,15 @@ module Sparse = struct
     mutable updates : int;      (* updates applied since the last refresh *)
     mutable fill_in : int;      (* entries added by those updates *)
     mutable stale : bool;       (* a rejected update left U inconsistent *)
+    fws : workspace;            (* refactorization scratch *)
+    mutable spare : t;          (* storage the next refactorization fills *)
+    mutable owned : bool;       (* [base] lives in storage this [ft] owns *)
   }
 
   let ft_dim f = f.ft_n
 
   let ft_nnz f =
-    Array.length f.base.l_idx + f.unnz + f.ft_n + f.reta_nnz
+    f.base.l_ptr.(f.ft_n) + f.unnz + f.ft_n + f.reta_nnz
 
   let ft_updates f = f.updates
   let ft_eta_nnz f = f.reta_nnz
@@ -725,10 +898,9 @@ module Sparse = struct
   (* Re-arm the updatable factors around a fresh factorization, reusing
      every buffer whose capacity still fits (the warm-re-solve path
      refactorizes on install, so this runs often and must stay lean). *)
-  let ft_refresh f base =
-    let n = base.n in
-    if n <> f.ft_n then invalid_arg "Lu.Sparse.ft_refresh: dimension";
+  let rearm f base =
     f.base <- base;
+    let n = base.n in
     for j = 0 to n - 1 do
       f.uc.(j).ul_len <- 0;
       f.ur.(j).ul_len <- 0;
@@ -749,11 +921,28 @@ module Sparse = struct
     f.n_reta <- 0;
     f.reta_nnz <- 0;
     ft_clear_spike f;
-    f.unnz <- Array.length base.u_idx;
+    f.unnz <- base.u_ptr.(n);
     f.nnz0 <- nnz base;
     f.updates <- 0;
     f.fill_in <- 0;
     f.stale <- false
+
+  (* A caller-supplied [base] is only read, never refilled: the next
+     refactorization goes to the spare storage. *)
+  let ft_refresh f base =
+    if base.n <> f.ft_n then invalid_arg "Lu.Sparse.ft_refresh: dimension";
+    rearm f base;
+    f.owned <- false
+
+  (* Double-buffered: the new factors are built in [spare] while [base]
+     stays intact, so a [Singular] leaves the current factors usable.
+     On success the retired base becomes the next spare when this [ft]
+     owns it (fresh storage otherwise — once, after a {!ft_refresh}). *)
+  let ft_refactorize f ~col =
+    let fresh = factorize_into f.fws f.spare ~col in
+    f.spare <- (if f.owned then f.base else buffers f.ft_n);
+    rearm f fresh;
+    f.owned <- true
 
   let ft_of_factors base =
     let n = base.n in
@@ -780,9 +969,12 @@ module Sparse = struct
         updates = 0;
         fill_in = 0;
         stale = false;
+        fws = workspace n;
+        spare = buffers n;
+        owned = false;
       }
     in
-    ft_refresh f base;
+    rearm f base;
     f
 
   (* {!dfs_reach} over a dynamic (growable-list) adjacency. *)

@@ -1,8 +1,10 @@
-(** Dense LU factorization with partial pivoting.
+(** LU factorizations.
 
-    Used to (re)factorize the simplex basis periodically, bounding the
-    numerical drift of the product-form inverse updates, and to solve
-    general small dense systems in tests. *)
+    The top level is a dense LU with partial pivoting, for small general
+    systems and the {!Lp.Basis.Dense_inverse} reference representation.
+    {!Sparse} is the simplex basis workhorse: a left-looking sparse LU kept
+    as factors, with reach-based triangular solves and Forrest–Tomlin
+    updates. *)
 
 type t
 (** An LU factorization [P·A = L·U] of a square matrix. *)
@@ -44,7 +46,21 @@ module Sparse : sig
   val factorize : n:int -> col:(int -> (int -> float -> unit) -> unit) -> t
   (** [factorize ~n ~col] factorizes the [n]×[n] matrix whose column [j]
       is enumerated by [col j f] as [f row value] calls (duplicates are
-      summed).  @raise Singular when no acceptable pivot exists. *)
+      summed).
+
+      Ordering: columns are taken in ascending order of their enumerated
+      entry count, ties by index; each column's pivot is the unassigned
+      row of largest magnitude (at least {!Tol.pivot}), ties by the
+      smaller original row.
+
+      Cost: O(n + nnz(B) + flops).  Each column is eliminated only
+      against the factor steps in the symbolic reach of its pivoted rows,
+      taken in ascending step order, so the factors (every pivot, entry
+      and float operation) are bit-identical to a left-looking dense scan
+      over all previous steps.
+
+      @raise Singular with the elimination step at which no acceptable
+      pivot exists. *)
 
   val of_diagonal : float array -> t
   (** Trivial factorization of [diag d] — the simplex cold-start basis of
@@ -129,10 +145,21 @@ module Sparse : sig
   (** Wrap a fresh factorization for updating. *)
 
   val ft_refresh : ft -> t -> unit
-  (** [ft_refresh f base] re-arms [f] around a fresh factorization of
-      the same dimension, reusing its buffers (the warm-re-solve path
-      refactorizes on every install, so this must stay allocation-lean).
+  (** [ft_refresh f base] re-arms [f] around a given factorization of the
+      same dimension (e.g. {!of_diagonal} for a cold start), reusing its
+      buffers.  [base] is only read.
       @raise Invalid_argument on a dimension mismatch. *)
+
+  val ft_refactorize :
+    ft -> col:(int -> (int -> float -> unit) -> unit) -> unit
+  (** [ft_refactorize f ~col] is [ft_refresh f (factorize ~n ~col)] with
+      [n = ft_dim f], built in storage [f] retains: a workspace and two
+      factor buffers, one holding the current factors while the other
+      receives the new ones.  Once the buffers have grown to the basis'
+      fill, a refactorization allocates nothing proportional to [n] (the
+      warm-re-solve path refactorizes on every install).  The factors are
+      bit-identical to {!factorize}'s.
+      @raise Singular as {!factorize} does; [f] is then unchanged. *)
 
   val ft_dim : ft -> int
 

@@ -115,7 +115,7 @@ let factorize t col =
   | Factored f ->
     f.lu <- Slu.factorize ~n:t.m ~col;
     clear_etas f
-  | Updated u -> Slu.ft_refresh u.ft (Slu.factorize ~n:t.m ~col)
+  | Updated u -> Slu.ft_refactorize u.ft ~col
 
 (* --- eta application --------------------------------------------------- *)
 

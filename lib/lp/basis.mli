@@ -81,8 +81,10 @@ val load_identity : t -> float array -> unit
 val factorize : t -> (int -> (int -> float -> unit) -> unit) -> unit
 (** [factorize t col] refactorizes from scratch; [col pos f] enumerates
     the basis column at position [pos].  Clears the eta file / absorbed
-    updates.  @raise Lina.Lu.Singular on a (numerically) singular
-    basis. *)
+    updates.  {!Updatable_lu} refactorizes into storage the
+    representation retains ({!Lina.Lu.Sparse.ft_refactorize}).
+    @raise Lina.Lu.Singular on a (numerically) singular basis; the
+    representation is then left unchanged. *)
 
 val ftran_col : t -> ((int -> float -> unit) -> unit) -> float array -> int
 (** [ftran_col t col w] accumulates [B⁻¹ a] into [w] (length [m],

@@ -451,6 +451,179 @@ let ft_tests =
         | _ -> Alcotest.fail "update must require a stashed spike");
   ]
 
+(* --- factorization oracle ----------------------------------------------- *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       a b
+
+let unit_vec n k =
+  let e = Array.make n 0.0 in
+  e.(k) <- 1.0;
+  e
+
+let col_of cols j emit = List.iter (fun (i, v) -> emit i v) cols.(j)
+
+let outcome f = match f () with x -> Ok x | exception Lina.Lu.Singular k -> Error k
+
+(* [Lina.Lu.Sparse.factorize] against the dense-scan reference
+   ([Lu_reference]): the same [Singular] step, or the same [nnz] and the
+   same bits from the dense FTRAN and BTRAN of every unit vector. *)
+let matches_reference n cols =
+  let col = col_of cols in
+  match
+    ( outcome (fun () -> Lu_reference.factorize ~n ~col),
+      outcome (fun () -> Slu.factorize ~n ~col) )
+  with
+  | Error k, Error k' -> k = k'
+  | Ok r, Ok f ->
+    let work = Array.make n 0.0 in
+    Lu_reference.nnz r = Slu.nnz f
+    && List.for_all
+         (fun k ->
+           let x = unit_vec n k and y = unit_vec n k in
+           Slu.ftran_in_place f ~work x;
+           Slu.btran_in_place f ~work y;
+           same_bits (Lu_reference.ftran r (unit_vec n k)) x
+           && same_bits (Lu_reference.btran r (unit_vec n k)) y)
+         (List.init n Fun.id)
+  | _ -> false
+
+(* Columns with every quirk an accessor may present: duplicate rows
+   (summed), explicit zeros, tie-prone values, and — in a quarter of the
+   matrices — one empty or near-zero (singular) column. *)
+let quirky_cols rng n =
+  let value () =
+    match Workload.Rng.int rng 4 with
+    | 0 -> [| -2.0; -1.0; 0.5; 1.0; 2.0 |].(Workload.Rng.int rng 5)
+    | 1 -> 0.0
+    | _ -> Workload.Rng.float_range rng (-3.0) 3.0
+  in
+  let cols =
+    Array.init n (fun j ->
+        let diag =
+          if Workload.Rng.int rng 8 = 0 then []
+          else [ (j, Workload.Rng.float_range rng 1.0 6.0) ]
+        in
+        let rest =
+          List.init (Workload.Rng.int rng 5) (fun _ ->
+              (Workload.Rng.int rng n, value ()))
+        in
+        let dups = List.filteri (fun k _ -> k < Workload.Rng.int rng 3) rest in
+        diag @ rest @ dups)
+  in
+  if n > 0 && Workload.Rng.int rng 4 = 0 then
+    cols.(Workload.Rng.int rng n) <-
+      (if Workload.Rng.bool rng then []
+       else [ (Workload.Rng.int rng n, 1e-13); (Workload.Rng.int rng n, 1e-14) ]);
+  cols
+
+let oracle_properties =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"sparse factorize = dense-scan reference, bitwise"
+         ~count:300
+         QCheck2.Gen.(pair (int_range 0 30) (int_bound 100_000))
+         (fun (n, seed) ->
+           let rng = Workload.Rng.create (Int64.of_int (seed + 101)) in
+           matches_reference n (quirky_cols rng n)));
+  ]
+
+let oracle_tests =
+  [
+    Alcotest.test_case "reference agreement at n = 0 and n = 1" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, n, cols) ->
+            Alcotest.(check bool) name true (matches_reference n cols))
+          [
+            ("empty", 0, [||]);
+            ("scalar", 1, [| [ (0, -3.5) ] |]);
+            ("duplicates summed", 1, [| [ (0, 1.5); (0, 2.0) ] |]);
+            ("empty column", 1, [| [] |]);
+            ("explicit zero", 1, [| [ (0, 0.0) ] |]);
+            ("cancelling duplicates", 1, [| [ (0, 1.0); (0, -1.0) ] |]);
+            ("below pivot tolerance", 1, [| [ (0, 1e-13) ] |]);
+          ]);
+    Alcotest.test_case "reference agreement on a paper-scenario root basis"
+      `Quick (fun () ->
+        let rng = Workload.Rng.create 5L in
+        let inst =
+          Tvnep.Scenario.generate rng
+            { Tvnep.Scenario.paper with num_requests = 3 }
+        in
+        let fm = Tvnep.Csigma_model.build inst in
+        ignore (Tvnep.Objective.apply fm Tvnep.Objective.Access_control);
+        let sf = Lp.Std_form.of_model fm.Tvnep.Formulation.model in
+        let r = Lp.Simplex.solve sf in
+        let basic = (Option.get r.Lp.Simplex.final_basis).Lp.Simplex.basic in
+        let n = sf.Lp.Std_form.n_rows in
+        let cols =
+          Array.init n (fun pos ->
+              let l = ref [] in
+              Lina.Csc.iter_col sf.Lp.Std_form.a basic.(pos) (fun i v ->
+                  l := (i, v) :: !l);
+              List.rev !l)
+        in
+        Alcotest.(check bool) "optimal root" true
+          (r.Lp.Simplex.status = Lp.Simplex.Optimal);
+        Alcotest.(check bool) "bitwise agreement" true
+          (matches_reference n cols));
+  ]
+
+(* --- refactorization into retained storage ----------------------------- *)
+
+(* Both [ft]s give the same [ft_nnz] and the same bits for the FTRAN and
+   BTRAN of every unit vector. *)
+let same_ft n a b =
+  let sa = Slu.scratch n and sb = Slu.scratch n in
+  let solve_both solve k =
+    let x = unit_vec n k and y = unit_vec n k in
+    ignore (solve a sa x : int);
+    ignore (solve b sb y : int);
+    same_bits x y
+  in
+  Slu.ft_nnz a = Slu.ft_nnz b
+  && List.for_all
+       (fun k -> solve_both Slu.ft_ftran k && solve_both Slu.ft_btran k)
+       (List.init n Fun.id)
+
+(* One [ft] refactorized through a sequence of same-dimension matrices —
+   healthy ones, and singular ones that fail mid-elimination with the
+   accumulator in use — must always equal a fresh factorization of the
+   last healthy matrix. *)
+let reuse_agrees rng n =
+  let healthy () = random_sparse_cols rng n in
+  let singular () =
+    let cols = random_sparse_cols rng n in
+    cols.(Workload.Rng.int rng n) <-
+      (if Workload.Rng.bool rng then []
+       else List.init 3 (fun _ -> (Workload.Rng.int rng n, 1e-13)));
+    cols
+  in
+  let first = healthy () in
+  let ft = Slu.ft_of_factors (factorize_cols n first) in
+  let last = ref first in
+  List.for_all
+    (fun cols ->
+      (match Slu.ft_refactorize ft ~col:(col_of cols) with
+      | () -> last := cols
+      | exception Lina.Lu.Singular _ -> ());
+      same_ft n ft (Slu.ft_of_factors (factorize_cols n !last)))
+    [ healthy (); singular (); healthy (); healthy (); singular (); healthy () ]
+
+let reuse_properties =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"refactorizing one ft equals fresh factorizations" ~count:40
+         QCheck2.Gen.(pair (int_range 1 30) (int_bound 100_000))
+         (fun (n, seed) ->
+           reuse_agrees (Workload.Rng.create (Int64.of_int (seed + 7))) n));
+  ]
+
 let suite =
   [
     ("lina.vec", vec_tests);
@@ -459,4 +632,6 @@ let suite =
     ("lina.lu", lu_tests @ lu_properties);
     ("lina.lu.reach", reach_properties);
     ("lina.lu.ft", ft_tests @ ft_properties);
+    ("lina.lu.oracle", oracle_tests @ oracle_properties);
+    ("lina.lu.reuse", reuse_properties);
   ]

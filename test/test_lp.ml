@@ -355,6 +355,60 @@ let session_properties =
 
 let basis_tests =
   [
+    Alcotest.test_case "refactorizing one basis equals fresh factorizations"
+      `Quick (fun () ->
+        (* One Forrest–Tomlin basis refactorized through healthy and
+           singular matrices (the singular ones fail mid-elimination):
+           after each, its solves carry the same bits as a fresh basis
+           factorized from the last healthy matrix. *)
+        let rng = Workload.Rng.create 77L in
+        let m = 20 in
+        let healthy () =
+          Array.init m (fun pos ->
+              let c =
+                Array.init m (fun _ ->
+                    if Workload.Rng.int rng 100 < 20 then
+                      Workload.Rng.float_range rng (-1.0) 1.0
+                    else 0.0)
+              in
+              c.(pos) <- c.(pos) +. 4.0;
+              c)
+        in
+        let singular () =
+          let cols = healthy () in
+          cols.(Workload.Rng.int rng m) <-
+            Array.init m (fun i -> if i mod 6 = 0 then 1e-13 else 0.0);
+          cols
+        in
+        let col cols pos f =
+          Array.iteri (fun i v -> if v <> 0.0 then f i v) cols.(pos)
+        in
+        let bits a = Array.map Int64.bits_of_float a in
+        let rep = Lp.Basis.create Lp.Basis.Updatable_lu m in
+        let last = ref [||] and singulars = ref 0 in
+        List.iter
+          (fun cols ->
+            (match Lp.Basis.factorize rep (col cols) with
+            | () -> last := cols
+            | exception Lina.Lu.Singular _ -> incr singulars);
+            let fresh = Lp.Basis.create Lp.Basis.Updatable_lu m in
+            Lp.Basis.factorize fresh (col !last);
+            Alcotest.(check int) "solve cost" (Lp.Basis.solve_cost fresh)
+              (Lp.Basis.solve_cost rep);
+            for k = 0 to m - 1 do
+              List.iter
+                (fun solve ->
+                  let x = Array.make m 0.0 and y = Array.make m 0.0 in
+                  x.(k) <- 1.0;
+                  y.(k) <- 1.0;
+                  ignore (solve rep x : int);
+                  ignore (solve fresh y : int);
+                  Alcotest.(check (array int64)) "same bits" (bits y) (bits x))
+                [ Lp.Basis.ftran_in_place; Lp.Basis.btran_in_place ]
+            done)
+          [ healthy (); singular (); healthy (); healthy (); singular ();
+            healthy () ];
+        Alcotest.(check int) "singular matrices rejected" 2 !singulars);
     Alcotest.test_case "FTRAN/BTRAN round-trip through a long eta file"
       `Quick (fun () ->
         let rng = Workload.Rng.create 2024L in
