@@ -30,6 +30,38 @@ let load_instance file =
     prerr_endline msg;
     exit exit_bad_instance
 
+(* ---- checked numeric arguments ------------------------------------------ *)
+
+(* Numeric options are range-checked when parsed, so a bad value exits 124
+   with the option named instead of escaping later from the library as an
+   exception (or, for a NaN, slipping through every comparison). *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let pos_float =
+  checked Arg.float ~expected:"a positive finite number" (fun x ->
+      Float.is_finite x && x > 0.0)
+
+let nonneg_float =
+  checked Arg.float ~expected:"a finite number >= 0" (fun x ->
+      Float.is_finite x && x >= 0.0)
+
+let fraction =
+  checked Arg.float ~expected:"a number in [0, 1]" (fun x ->
+      x >= 0.0 && x <= 1.0)
+
+let pos_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+
+let nonneg_int =
+  checked Arg.int ~expected:"an integer >= 0" (fun n -> n >= 0)
+
 (* ---- shared arguments ------------------------------------------------- *)
 
 let file_arg =
@@ -40,7 +72,7 @@ let file_arg =
 
 let time_limit_arg =
   Arg.(
-    value & opt float 60.0
+    value & opt pos_float 60.0
     & info [ "time-limit" ] ~docv:"SECONDS" ~doc:"Solver time limit.")
 
 let model_arg =
@@ -70,7 +102,7 @@ let objective_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt nonneg_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Worker domains (default 1 = solve in the calling domain; 0 = \
               autodetect the core count).  Both the branch-and-bound and \
@@ -102,7 +134,7 @@ let seed_greedy_arg =
 
 let slot_arg =
   Arg.(
-    value & opt float 1.0
+    value & opt pos_float 1.0
     & info [ "slot-width" ] ~docv:"HOURS"
         ~doc:"Slot width for --model discrete.")
 
@@ -317,32 +349,32 @@ let serve_cmd =
   in
   let requests_arg =
     Arg.(
-      value & opt int 8
+      value & opt pos_int 8
       & info [ "requests" ] ~docv:"K"
           ~doc:"Request count for the generated scenario (ignored with \
                 FILE).")
   in
   let slice_arg =
     Arg.(
-      value & opt float 0.5
+      value & opt pos_float 0.5
       & info [ "slice" ] ~docv:"SECONDS"
           ~doc:"Per-request deadline in budget seconds.")
   in
   let exact_fraction_arg =
     Arg.(
-      value & opt float 0.7
+      value & opt fraction 0.7
       & info [ "exact-fraction" ] ~docv:"F"
           ~doc:"Share of each slice the exact solve may spend before the \
                 greedy fallback takes over.")
   in
   let batch_arg =
     Arg.(
-      value & opt int 4
+      value & opt pos_int 4
       & info [ "batch" ] ~docv:"N" ~doc:"Arrivals admitted per batch.")
   in
   let global_limit_arg =
     Arg.(
-      value & opt float infinity
+      value & opt pos_float infinity
       & info [ "time-limit" ] ~docv:"SECONDS"
           ~doc:"Global budget for the whole stream (default: none); \
                 arrivals past it are denied at the budget rung.")
@@ -365,14 +397,14 @@ let serve_cmd =
   in
   let cancel_prob_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt fraction 0.0
       & info [ "cancel-prob" ] ~docv:"P"
           ~doc:"With --events: cancel each arrival with probability P at a \
                 uniform time inside its window (drawn from --seed).")
   in
   let reconfigure_arg =
     Arg.(
-      value & opt int 0
+      value & opt nonneg_int 0
       & info [ "reconfigure" ] ~docv:"N"
           ~doc:"Enable the reconfiguration rung: on a proven denial, \
                 re-optimize up to N not-yet-started committed requests with \
@@ -380,7 +412,7 @@ let serve_cmd =
   in
   let move_cost_arg =
     Arg.(
-      value & opt float 0.1
+      value & opt nonneg_float 0.1
       & info [ "move-cost" ] ~docv:"W"
           ~doc:"Objective weight per unit of schedule displacement in \
                 reconfiguration solves.")
@@ -405,7 +437,7 @@ let serve_cmd =
   in
   let price_floor_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt nonneg_float 0.0
       & info [ "price-floor" ] ~docv:"F"
           ~doc:"Baseline resource price per demand-hour under --pricing.")
   in
@@ -536,14 +568,14 @@ let explain_cmd =
   in
   let requests_arg =
     Arg.(
-      value & opt int 8
+      value & opt pos_int 8
       & info [ "requests" ] ~docv:"K"
           ~doc:"Request count for the generated scenario (ignored with \
                 FILE).")
   in
   let flex_arg =
     Arg.(
-      value & opt float 2.0
+      value & opt nonneg_float 2.0
       & info [ "flexibility" ] ~docv:"HOURS"
           ~doc:"Temporal flexibility of the generated scenario (ignored \
                 with FILE).")
@@ -635,22 +667,24 @@ let generate_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output instance file.")
   in
   let requests_arg =
-    Arg.(value & opt int 5 & info [ "requests" ] ~docv:"K" ~doc:"Request count.")
+    Arg.(
+      value & opt pos_int 5 & info [ "requests" ] ~docv:"K" ~doc:"Request count.")
   in
   let rows_arg =
-    Arg.(value & opt int 3 & info [ "rows" ] ~docv:"R" ~doc:"Grid rows.")
+    Arg.(value & opt pos_int 3 & info [ "rows" ] ~docv:"R" ~doc:"Grid rows.")
   in
   let cols_arg =
-    Arg.(value & opt int 3 & info [ "cols" ] ~docv:"C" ~doc:"Grid columns.")
+    Arg.(
+      value & opt pos_int 3 & info [ "cols" ] ~docv:"C" ~doc:"Grid columns.")
   in
   let leaves_arg =
     Arg.(
-      value & opt int 2
+      value & opt nonneg_int 2
       & info [ "star-leaves" ] ~docv:"L" ~doc:"Leaves per request star.")
   in
   let flex_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt nonneg_float 1.0
       & info [ "flexibility" ] ~docv:"HOURS" ~doc:"Temporal flexibility.")
   in
   let seed_arg =

@@ -62,8 +62,6 @@ let in_degree g v = List.length (in_edges g v)
 
 let nodes g = List.init g.n (fun i -> i)
 
-let fold_edges f g acc = List.fold_left (fun acc e -> f e acc) acc (edges g)
-
 let has_edge g ~src ~dst =
   src >= 0 && src < g.n
   && List.exists (fun e -> e.dst = dst) g.out_adj.(src)

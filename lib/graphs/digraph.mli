@@ -38,8 +38,6 @@ val in_degree : t -> int -> int
 
 val nodes : t -> int list
 
-val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-
 val has_edge : t -> src:int -> dst:int -> bool
 
 val reverse : t -> t

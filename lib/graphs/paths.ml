@@ -17,8 +17,6 @@ let bfs_distances g src =
   done;
   dist
 
-let is_reachable g ~src ~dst = src = dst || (bfs_distances g src).(dst) >= 0
-
 let reachability g =
   let n = Digraph.num_nodes g in
   Array.init n (fun u ->

@@ -8,8 +8,6 @@
 val bfs_distances : Digraph.t -> int -> int array
 (** Hop distances from a source; [-1] marks unreachable nodes. *)
 
-val is_reachable : Digraph.t -> src:int -> dst:int -> bool
-
 val reachability : Digraph.t -> bool array array
 (** [reachability g] is the transitive closure: [(closure.(u)).(v)] is true
     iff there is a (possibly empty) path u→v.  Diagonal entries are true. *)

@@ -107,11 +107,6 @@ let iter_col m j f =
     f m.row_idx.(k) m.value.(k)
   done
 
-let column m j =
-  let acc = ref [] in
-  iter_col m j (fun i v -> acc := (i, v) :: !acc);
-  Sparse_vec.of_assoc !acc
-
 let mult_vec m x =
   if Array.length x <> m.cols then invalid_arg "Csc.mult_vec";
   let y = Array.make m.rows 0.0 in

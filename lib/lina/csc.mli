@@ -40,9 +40,6 @@ val to_dense : t -> float array array
 val get : t -> int -> int -> float
 (** [get m i j]; binary search within column [j]. *)
 
-val column : t -> int -> Sparse_vec.t
-(** Column [j] as a sparse vector over row indices. *)
-
 val iter_col : t -> int -> (int -> float -> unit) -> unit
 (** [iter_col m j f] applies [f row value] over the stored entries of
     column [j] without allocating. *)

@@ -1,41 +1,18 @@
-(** LU factorizations.
+(** Sparse LU factorization of the simplex basis.
 
-    The top level is a dense LU with partial pivoting, for small general
-    systems and the {!Lp.Basis.Dense_inverse} reference representation.
-    {!Sparse} is the simplex basis workhorse: a left-looking sparse LU kept
-    as factors, with reach-based triangular solves and Forrest–Tomlin
-    updates. *)
-
-type t
-(** An LU factorization [P·A = L·U] of a square matrix. *)
+    {!Sparse} is a left-looking sparse LU kept as factors, with
+    reach-based triangular solves and Forrest–Tomlin updates. *)
 
 exception Singular of int
 (** Raised (with the offending elimination step) when no pivot of
     magnitude at least {!Tol.pivot} exists. *)
 
-val factorize : Dense_matrix.t -> t
-(** @raise Singular when the matrix is (numerically) singular.
-    @raise Invalid_argument on a non-square matrix. *)
-
-val dim : t -> int
-
-val solve : t -> float array -> float array
-(** [solve lu b] returns [x] with [A x = b]. *)
-
-val solve_transpose : t -> float array -> float array
-(** [solve_transpose lu b] returns [x] with [Aᵀ x = b] — the BTRAN
-    operation of the simplex method. *)
-
-val inverse : t -> Dense_matrix.t
-(** Explicit inverse, column by column. *)
-
 (** {2 Sparse factors}
 
     Left-looking column LU over an abstract column accessor, kept {e as
-    factors} (never expanded to an inverse).  This is the simplex basis
-    workhorse: FTRAN/BTRAN run in O(nnz(L)+nnz(U)) against the factors,
-    and the product-form eta file on top of them lives in
-    {!Lp.Basis}. *)
+    factors} (never expanded to an inverse): FTRAN/BTRAN run in
+    O(nnz(L)+nnz(U)) against the factors, and {!Lp.Basis} absorbs pivots
+    into them with the Forrest–Tomlin update below. *)
 
 module Sparse : sig
   type t
@@ -199,9 +176,3 @@ module Sparse : sig
       @raise Invalid_argument when no spike is stashed or the factors
       are stale. *)
 end
-
-val determinant : t -> float
-
-val condition_estimate : t -> float
-(** Cheap lower bound on the 1-norm condition number (ratio of extreme
-    |U| diagonal entries); used to decide when to refactorize. *)

@@ -3,7 +3,3 @@ let feas = 1e-7
 let pivot = 1e-8
 
 let is_zero ?(tol = eps) x = Float.abs x <= tol
-
-let approx_eq ?(tol = feas) a b =
-  let scale = Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)) in
-  Float.abs (a -. b) <= tol *. scale

@@ -14,7 +14,3 @@ val pivot : float
 
 val is_zero : ?tol:float -> float -> bool
 (** [is_zero x] is [true] when [abs_float x <= tol] (default {!eps}). *)
-
-val approx_eq : ?tol:float -> float -> float -> bool
-(** [approx_eq a b] compares with absolute tolerance [tol] (default
-    {!feas}) plus a relative component scaled by the magnitudes. *)

@@ -28,8 +28,6 @@ type params = {
   refactor_every : int;
   dual_feas_tol : float;
   primal_feas_tol : float;
-  factorization : Basis.kind;
-  eta_limit : int;
   fill_limit : float;
   partial_pricing : bool;
   devex : bool;
@@ -42,8 +40,6 @@ let default_params =
     refactor_every = 100;
     dual_feas_tol = 1e-7;
     primal_feas_tol = Lina.Tol.feas;
-    factorization = Basis.Updatable_lu;
-    eta_limit = 64;
     fill_limit = 3.0;
     partial_pricing = true;
     devex = true;
@@ -96,7 +92,7 @@ type state = {
   vstat : vstat array;
   basis : int array;
   art_sign : float array;
-  rep : Basis.t;  (* basis representation: LU factors + etas, or dense B⁻¹ *)
+  rep : Basis.t;  (* Forrest–Tomlin updatable LU factors of the basis *)
   mutable pivots_since_refactor : int;
   mutable iterations : int;
   mutable bland : bool;
@@ -254,8 +250,8 @@ let nonbasic_rhs st =
   done;
   rhs
 
-(* Recomputes basic values through the current representation (factors
-   plus eta file): cheap drift control between full refactorizations. *)
+(* Recomputes basic values through the current (updated) factors: cheap
+   drift control between full refactorizations. *)
 let recompute_basics st =
   let rhs = nonbasic_rhs st in
   tick_ftran st (Basis.ftran_in_place st.rep rhs);
@@ -272,9 +268,11 @@ let equation_residual st =
         (let xj = st.xval.(j) in
          fun i v -> r.(i) <- r.(i) +. (v *. xj))
   done;
-  Lina.Vec.nrm_inf r
+  Array.fold_left
+    (fun acc v -> if Float.abs v > acc then Float.abs v else acc)
+    0.0 r
 
-(* Refactorizes the basis from scratch (discarding the eta file) and
+(* Refactorizes the basis from scratch (discarding absorbed updates) and
    recomputes basic values from the nonbasic ones. *)
 let full_refactorize st =
   st.stats.Rstats.refactorizations <- st.stats.Rstats.refactorizations + 1;
@@ -304,23 +302,15 @@ let refactorize st =
     full_refactorize st
   end
 
-(* Post-pivot refactorization policy, driven by measured representation
-   growth rather than a fixed pivot count: the eta file's cap for the
-   product-form representation (every solve pays for the whole file), the
-   measured fill ratio for the Forrest–Tomlin representation (solve cost
-   only grows with actual spike/multiplier fill, so updates keep going
-   while the factors stay lean); both get the periodic residual-drift
-   check every [refactor_every] pivots. *)
+(* Post-pivot refactorization policy, driven by measured factor growth
+   rather than a fixed pivot count: solve cost only grows with actual
+   spike/multiplier fill, so updates keep going while the fill ratio stays
+   under [fill_limit]; the periodic residual-drift check runs every
+   [refactor_every] pivots. *)
 let after_basis_update st =
   st.pivots_since_refactor <- st.pivots_since_refactor + 1;
   try
-    let fill_bound =
-      match Basis.kind st.rep with
-      | Basis.Factored_lu -> Basis.eta_count st.rep >= st.params.eta_limit
-      | Basis.Updatable_lu -> Basis.fill_ratio st.rep > st.params.fill_limit
-      | Basis.Dense_inverse -> false
-    in
-    if fill_bound then begin
+    if Basis.fill_ratio st.rep > st.params.fill_limit then begin
       st.stats.Rstats.refactor_fill <- st.stats.Rstats.refactor_fill + 1;
       st.ptk.pf_rfill <- st.ptk.pf_rfill + 1;
       full_refactorize st
@@ -335,19 +325,15 @@ let after_basis_update st =
    basis both repairs the representation and absorbs the pivot. *)
 let commit_pivot st ~r =
   match
-    try Basis.update st.rep ~r ~w:st.w
+    try Basis.update st.rep ~r
     with Invalid_argument _ -> raise (Solver_stop Numerical_failure)
   with
   | Basis.Applied { work; added } ->
-    (match Basis.kind st.rep with
-    | Basis.Updatable_lu ->
-      st.stats.Rstats.basis_updates <- st.stats.Rstats.basis_updates + 1;
-      st.stats.Rstats.spike_fill <- st.stats.Rstats.spike_fill + added;
-      st.ptk.pf_updates <- st.ptk.pf_updates + 1;
-      st.ptk.pf_spike_fill <- st.ptk.pf_spike_fill + added;
-      tick_factor st work
-    | Basis.Dense_inverse | Basis.Factored_lu ->
-      st.stats.Rstats.eta_entries <- st.stats.Rstats.eta_entries + added);
+    st.stats.Rstats.basis_updates <- st.stats.Rstats.basis_updates + 1;
+    st.stats.Rstats.spike_fill <- st.stats.Rstats.spike_fill + added;
+    st.ptk.pf_updates <- st.ptk.pf_updates + 1;
+    st.ptk.pf_spike_fill <- st.ptk.pf_spike_fill + added;
+    tick_factor st work;
     after_basis_update st
   | Basis.Rejected -> (
     st.stats.Rstats.refactor_forced <- st.stats.Rstats.refactor_forced + 1;
@@ -1236,7 +1222,7 @@ let solve ?(params = default_params) ?budget ?stats ?prof ?lb ?ub ?warm
       vstat = Array.make (n_total + m) At_lower;
       basis = Array.make m (-1);
       art_sign = Array.make m 1.0;
-      rep = Basis.create params.factorization m;
+      rep = Basis.create m;
       pivots_since_refactor = 0;
       iterations = 0;
       bland = false;
@@ -1321,7 +1307,7 @@ let fresh_state sf params budget stats prof lb ub =
     vstat = Array.make (n_total + m) At_lower;
     basis = Array.make m (-1);
     art_sign = Array.make m 1.0;
-    rep = Basis.create params.factorization m;
+    rep = Basis.create m;
     pivots_since_refactor = 0;
     iterations = 0;
     bland = false;

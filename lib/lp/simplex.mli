@@ -2,16 +2,12 @@
 
     Solves the computational form produced by {!Std_form}:
     [min cᵀx  s.t.  A·x = 0,  lb <= x <= ub].  The basis is kept in a
-    {!Basis} representation — by default sparse LU factors updated in
-    place by a Forrest–Tomlin update per pivot ({!Basis.Updatable_lu}),
-    so FTRAN/BTRAN stay O(nnz(factors)) with no grow-forever eta file;
-    the product-form eta representation ({!Basis.Factored_lu}) and the
-    dense explicit inverse ({!Basis.Dense_inverse}) remain available as
-    A/B reference paths.  Refactorization is driven by measured
-    representation growth — the eta file reaching [eta_limit] (factored)
-    or the fill ratio exceeding [fill_limit] (updatable) — plus the
-    periodic residual check (every [refactor_every] pivots) for drift,
-    and immediately when an update is rejected (singular spike).  Phase 1
+    {!Basis}: sparse LU factors updated in place by a Forrest–Tomlin
+    update per pivot, so FTRAN/BTRAN stay O(nnz(factors)).
+    Refactorization is driven by measured factor growth — the fill ratio
+    exceeding [fill_limit] — plus the periodic residual check (every
+    [refactor_every] pivots) for drift, and immediately when an update is
+    rejected (singular spike).  Phase 1
     minimizes the sum of artificial variables introduced only on rows
     whose logical variable cannot start feasibly.
 
@@ -48,12 +44,9 @@ type params = {
   refactor_every : int;     (** pivots between residual/drift checks *)
   dual_feas_tol : float;    (** reduced-cost tolerance *)
   primal_feas_tol : float;  (** bound-violation tolerance *)
-  factorization : Basis.kind;  (** basis representation (default updatable) *)
-  eta_limit : int;          (** eta columns before a forced refactorization
-                                ({!Basis.Factored_lu} only) *)
   fill_limit : float;       (** factor-size growth ratio before a forced
-                                refactorization ({!Basis.Updatable_lu}
-                                only; fresh factorization = 1.0) *)
+                                refactorization (fresh factorization =
+                                1.0) *)
   partial_pricing : bool;   (** candidate-list pricing (default on) *)
   devex : bool;             (** devex reference-framework pricing (default
                                 on); [false] = Dantzig, the A/B reference *)

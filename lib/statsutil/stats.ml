@@ -56,10 +56,6 @@ let summarize xs =
     avg = mean xs;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d min=%.3g q1=%.3g med=%.3g q3=%.3g max=%.3g avg=%.3g"
-    s.count s.min s.q1 s.med s.q3 s.max s.avg
-
 let geometric_mean xs =
   check_nonempty "Stats.geometric_mean" xs;
   List.iter

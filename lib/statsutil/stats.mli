@@ -33,7 +33,5 @@ type summary = {
 val summarize : float list -> summary
 (** @raise Invalid_argument on the empty list. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val geometric_mean : float list -> float
 (** @raise Invalid_argument on empty input or non-positive values. *)

@@ -11,10 +11,6 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows_rev <- row :: t.rows_rev
 
-let add_float_row t ?(fmt = Printf.sprintf "%.4g") label xs =
-  add_row t (label :: List.map fmt xs);
-  t
-
 let render ?(align = Right) t =
   let rows = List.rev t.rows_rev in
   let all = t.headers :: rows in

@@ -13,10 +13,6 @@ val create : headers:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument when the arity differs from the headers. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> string -> float list -> t
-(** Convenience: a label cell followed by formatted floats (default
-    [%.4g]).  Returns the table for chaining. *)
-
 val render : ?align:align -> t -> string
 (** Fully rendered table with a header separator line. *)
 

@@ -278,13 +278,6 @@ let lift_embedding inst ~req (emb : Embedding.t) (a : Solution.assignment) arr =
           flows)
       a.Solution.link_flows
 
-let lift_times fm (sol : Solution.t) arr =
-  Array.iteri
-    (fun req (a : Solution.assignment) ->
-      arr.((fm.t_start.(req) :> int)) <- a.Solution.t_start;
-      arr.((fm.t_end.(req) :> int)) <- a.Solution.t_end)
-    sol.Solution.assignments
-
 let set_chi chi event arr =
   let found = ref false in
   Array.iter

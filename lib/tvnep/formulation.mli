@@ -122,10 +122,6 @@ val lift_embedding :
 (** Fills [x_R], [x_V] (when mappings are free) and [x_E] for one
     request. *)
 
-val lift_times :
-  t -> Solution.t -> float array -> unit
-(** Fills the per-request [t⁺]/[t⁻] variables from the solution times. *)
-
 val set_chi : (int * Lp.Model.var) array -> int -> float array -> bool
 (** Sets the χ variable of the given event index to 1 (others stay 0);
     [false] when the index lies outside the variable's allowed range. *)

@@ -24,11 +24,6 @@ type flow_form = Arc | Path
 
 let flow_form_to_string = function Arc -> "arc" | Path -> "path"
 
-let flow_form_of_string = function
-  | "arc" -> Some Arc
-  | "path" -> Some Path
-  | _ -> None
-
 type status =
   | Optimal
   | Feasible
@@ -105,8 +100,6 @@ module Options = struct
 
   let default = make ()
   let with_budget budget o = { o with budget }
-  let with_pinned pinned o = { o with pinned }
-  let with_forced forced o = { o with forced }
 end
 
 type colgen_stats = {
@@ -773,7 +766,6 @@ let stats_to_json (s : Rstats.t) =
       ("lp_solves", i s.Rstats.lp_solves);
       ("ftran_nnz", i s.Rstats.ftran_nnz);
       ("btran_nnz", i s.Rstats.btran_nnz);
-      ("eta_entries", i s.Rstats.eta_entries);
       ("basis_updates", i s.Rstats.basis_updates);
       ("spike_fill", i s.Rstats.spike_fill);
       ("refactor_fill", i s.Rstats.refactor_fill);
@@ -833,7 +825,6 @@ let stats_of_json doc =
     let* () = geti "lp_solves" (fun n -> s.Rstats.lp_solves <- n) in
     let* () = geti "ftran_nnz" (fun n -> s.Rstats.ftran_nnz <- n) in
     let* () = geti "btran_nnz" (fun n -> s.Rstats.btran_nnz <- n) in
-    let* () = geti "eta_entries" (fun n -> s.Rstats.eta_entries <- n) in
     let* () = geti "basis_updates" (fun n -> s.Rstats.basis_updates <- n) in
     let* () = geti "spike_fill" (fun n -> s.Rstats.spike_fill <- n) in
     let* () = geti "refactor_fill" (fun n -> s.Rstats.refactor_fill <- n) in

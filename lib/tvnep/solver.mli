@@ -41,7 +41,6 @@ type flow_form =
               [Lp_only].  [Greedy] ignores it. *)
 
 val flow_form_to_string : flow_form -> string
-val flow_form_of_string : string -> flow_form option
 
 (** Unified result classification across all methods.  For [Exact] it
     refines {!Mip.Branch_bound.status} (the raw MIP status is kept in
@@ -141,12 +140,6 @@ module Options : sig
   (** The same options solving against a different budget — the admission
       service re-uses one options value across per-request budget
       slices. *)
-
-  val with_pinned : (int * float) list -> t -> t
-  (** The same options with a different pinned set. *)
-
-  val with_forced : int list -> t -> t
-  (** The same options with a different forced set. *)
 end
 
 (** Column-generation counters, reported when [flow_form = Path]. *)

@@ -1,65 +1,6 @@
-(* Unit and property tests for the dense/sparse linear algebra layer. *)
+(* Unit and property tests for the sparse linear algebra layer. *)
 
 let feq = Alcotest.(check (float 1e-9))
-
-let vec_tests =
-  [
-    Alcotest.test_case "dot" `Quick (fun () ->
-        feq "dot" 32.0 (Lina.Vec.dot [| 1.; 2.; 3. |] [| 4.; 5.; 6. |]));
-    Alcotest.test_case "dot dimension mismatch" `Quick (fun () ->
-        Alcotest.check_raises "raises" (Invalid_argument "Vec: dimension mismatch")
-          (fun () -> ignore (Lina.Vec.dot [| 1. |] [| 1.; 2. |])));
-    Alcotest.test_case "norms" `Quick (fun () ->
-        feq "nrm2" 5.0 (Lina.Vec.nrm2 [| 3.; 4. |]);
-        feq "nrm_inf" 4.0 (Lina.Vec.nrm_inf [| 3.; -4. |]));
-    Alcotest.test_case "axpy" `Quick (fun () ->
-        let y = [| 1.; 1. |] in
-        Lina.Vec.axpy 2.0 [| 1.; 2. |] y;
-        feq "y0" 3.0 y.(0);
-        feq "y1" 5.0 y.(1));
-    Alcotest.test_case "scale add sub" `Quick (fun () ->
-        let x = [| 1.; -2. |] in
-        Lina.Vec.scale (-3.0) x;
-        feq "scaled" (-3.0) x.(0);
-        let s = Lina.Vec.add [| 1.; 2. |] [| 3.; 4. |] in
-        feq "add" 6.0 s.(1);
-        let d = Lina.Vec.sub [| 1.; 2. |] [| 3.; 5. |] in
-        feq "sub" (-3.0) d.(1));
-    Alcotest.test_case "max_abs_index" `Quick (fun () ->
-        Alcotest.(check int) "idx" 2 (Lina.Vec.max_abs_index [| 1.; -2.; 5.; 4. |]);
-        Alcotest.(check int) "empty" (-1) (Lina.Vec.max_abs_index [||]));
-  ]
-
-let sparse_vec_tests =
-  [
-    Alcotest.test_case "of_assoc merges and drops zeros" `Quick (fun () ->
-        let v = Lina.Sparse_vec.of_assoc [ (3, 1.0); (1, 2.0); (3, -1.0) ] in
-        Alcotest.(check int) "nnz" 1 (Lina.Sparse_vec.nnz v);
-        feq "get 1" 2.0 (Lina.Sparse_vec.get v 1);
-        feq "get 3" 0.0 (Lina.Sparse_vec.get v 3));
-    Alcotest.test_case "dot_dense" `Quick (fun () ->
-        let v = Lina.Sparse_vec.of_assoc [ (0, 2.0); (2, 3.0) ] in
-        feq "dot" 17.0 (Lina.Sparse_vec.dot_dense v [| 1.; 100.; 5. |]));
-    Alcotest.test_case "axpy_dense" `Quick (fun () ->
-        let v = Lina.Sparse_vec.of_assoc [ (1, 4.0) ] in
-        let dense = [| 0.; 1.; 2. |] in
-        Lina.Sparse_vec.axpy_dense 0.5 v dense;
-        feq "updated" 3.0 dense.(1);
-        feq "untouched" 2.0 dense.(2));
-    Alcotest.test_case "add and scale" `Quick (fun () ->
-        let a = Lina.Sparse_vec.of_assoc [ (0, 1.0); (1, 1.0) ] in
-        let b = Lina.Sparse_vec.of_assoc [ (1, -1.0); (2, 2.0) ] in
-        let c = Lina.Sparse_vec.add a b in
-        Alcotest.(check int) "nnz" 2 (Lina.Sparse_vec.nnz c);
-        feq "at0" 1.0 (Lina.Sparse_vec.get c 0);
-        let s = Lina.Sparse_vec.scale 0.0 c in
-        Alcotest.(check int) "zero scale empties" 0 (Lina.Sparse_vec.nnz s));
-    Alcotest.test_case "max_index" `Quick (fun () ->
-        Alcotest.(check int) "empty" (-1)
-          (Lina.Sparse_vec.max_index Lina.Sparse_vec.empty);
-        let v = Lina.Sparse_vec.of_assoc [ (7, 1.0); (2, 1.0) ] in
-        Alcotest.(check int) "max" 7 (Lina.Sparse_vec.max_index v));
-  ]
 
 let csc_tests =
   [
@@ -99,99 +40,6 @@ let csc_tests =
         Alcotest.check_raises "bad row"
           (Invalid_argument "Csc.Builder.add: index out of bounds") (fun () ->
             Lina.Csc.Builder.add b ~row:1 ~col:0 1.0));
-  ]
-
-let random_matrix rng n =
-  Lina.Dense_matrix.of_rows
-    (Array.init n (fun _ ->
-         Array.init n (fun _ -> Workload.Rng.float_range rng (-5.0) 5.0)))
-
-let lu_tests =
-  [
-    Alcotest.test_case "solve known system" `Quick (fun () ->
-        (* [2 1; 1 3] x = [3; 5] -> x = [0.8, 1.4] *)
-        let a = Lina.Dense_matrix.of_rows [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-        let f = Lina.Lu.factorize a in
-        let x = Lina.Lu.solve f [| 3.; 5. |] in
-        feq "x0" 0.8 x.(0);
-        feq "x1" 1.4 x.(1));
-    Alcotest.test_case "singular detection" `Quick (fun () ->
-        let a = Lina.Dense_matrix.of_rows [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-        (match Lina.Lu.factorize a with
-        | exception Lina.Lu.Singular _ -> ()
-        | _ -> Alcotest.fail "expected Singular"));
-    Alcotest.test_case "determinant" `Quick (fun () ->
-        let a = Lina.Dense_matrix.of_rows [| [| 2.; 0. |]; [| 0.; 3. |] |] in
-        feq "det" 6.0 (Lina.Lu.determinant (Lina.Lu.factorize a)));
-    Alcotest.test_case "inverse identity" `Quick (fun () ->
-        let rng = Workload.Rng.create 11L in
-        let a = random_matrix rng 6 in
-        let f = Lina.Lu.factorize a in
-        let inv = Lina.Lu.inverse f in
-        let prod = Lina.Dense_matrix.mult a inv in
-        for i = 0 to 5 do
-          for j = 0 to 5 do
-            let expect = if i = j then 1.0 else 0.0 in
-            Alcotest.(check (float 1e-8)) "A*inv" expect
-              (Lina.Dense_matrix.get prod i j)
-          done
-        done);
-    Alcotest.test_case "pivot_update matches refactorized inverse" `Quick
-      (fun () ->
-        (* Replacing column r of B by a new column and applying the
-           product-form update must agree with inverting from scratch. *)
-        let rng = Workload.Rng.create 5L in
-        let n = 5 in
-        let b = random_matrix rng n in
-        let binv = Lina.Lu.inverse (Lina.Lu.factorize b) in
-        let new_col = Array.init n (fun _ -> Workload.Rng.float_range rng 1.0 2.0) in
-        let r = 2 in
-        let d = Lina.Dense_matrix.mult_vec binv new_col in
-        Lina.Dense_matrix.pivot_update binv d r;
-        let b2 = Lina.Dense_matrix.copy b in
-        for i = 0 to n - 1 do
-          Lina.Dense_matrix.set b2 i r new_col.(i)
-        done;
-        let fresh = Lina.Lu.inverse (Lina.Lu.factorize b2) in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            Alcotest.(check (float 1e-7)) "inverse entry"
-              (Lina.Dense_matrix.get fresh i j)
-              (Lina.Dense_matrix.get binv i j)
-          done
-        done);
-  ]
-
-let lu_properties =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"LU solve residual is tiny" ~count:50
-         QCheck2.Gen.(pair (int_range 1 12) (int_bound 10_000))
-         (fun (n, seed) ->
-           let rng = Workload.Rng.create (Int64.of_int (seed + 1)) in
-           let a = random_matrix rng n in
-           let b = Array.init n (fun _ -> Workload.Rng.float_range rng (-3.0) 3.0) in
-           match Lina.Lu.factorize a with
-           | exception Lina.Lu.Singular _ -> QCheck2.assume_fail ()
-           | f ->
-             let x = Lina.Lu.solve f b in
-             let r = Lina.Vec.sub (Lina.Dense_matrix.mult_vec a x) b in
-             Lina.Vec.nrm_inf r < 1e-6));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"LU transpose solve residual is tiny" ~count:50
-         QCheck2.Gen.(pair (int_range 1 12) (int_bound 10_000))
-         (fun (n, seed) ->
-           let rng = Workload.Rng.create (Int64.of_int (seed + 77)) in
-           let a = random_matrix rng n in
-           let b = Array.init n (fun _ -> Workload.Rng.float_range rng (-3.0) 3.0) in
-           match Lina.Lu.factorize a with
-           | exception Lina.Lu.Singular _ -> QCheck2.assume_fail ()
-           | f ->
-             let x = Lina.Lu.solve_transpose f b in
-             let r =
-               Lina.Vec.sub (Lina.Dense_matrix.mult_trans_vec a x) b
-             in
-             Lina.Vec.nrm_inf r < 1e-6));
   ]
 
 (* --- reach-based sparse triangular solves ------------------------------ *)
@@ -626,10 +474,7 @@ let reuse_properties =
 
 let suite =
   [
-    ("lina.vec", vec_tests);
-    ("lina.sparse_vec", sparse_vec_tests);
     ("lina.csc", csc_tests);
-    ("lina.lu", lu_tests @ lu_properties);
     ("lina.lu.reach", reach_properties);
     ("lina.lu.ft", ft_tests @ ft_properties);
     ("lina.lu.oracle", oracle_tests @ oracle_properties);

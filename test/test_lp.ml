@@ -349,9 +349,9 @@ let session_properties =
            !ok));
   ]
 
-(* Basis representations: the factored-LU path (with its eta file and
-   candidate-list pricing) must be numerically interchangeable with the
-   explicit dense inverse it replaced. *)
+(* The basis: refactorization reuse, FTRAN/BTRAN round trips through
+   Forrest–Tomlin updates, and parameter variants (pricing, fill and drift
+   policies) that must not change optima. *)
 
 let basis_tests =
   [
@@ -384,14 +384,14 @@ let basis_tests =
           Array.iteri (fun i v -> if v <> 0.0 then f i v) cols.(pos)
         in
         let bits a = Array.map Int64.bits_of_float a in
-        let rep = Lp.Basis.create Lp.Basis.Updatable_lu m in
+        let rep = Lp.Basis.create m in
         let last = ref [||] and singulars = ref 0 in
         List.iter
           (fun cols ->
             (match Lp.Basis.factorize rep (col cols) with
             | () -> last := cols
             | exception Lina.Lu.Singular _ -> incr singulars);
-            let fresh = Lp.Basis.create Lp.Basis.Updatable_lu m in
+            let fresh = Lp.Basis.create m in
             Lp.Basis.factorize fresh (col !last);
             Alcotest.(check int) "solve cost" (Lp.Basis.solve_cost fresh)
               (Lp.Basis.solve_cost rep);
@@ -409,96 +409,6 @@ let basis_tests =
           [ healthy (); singular (); healthy (); healthy (); singular ();
             healthy () ];
         Alcotest.(check int) "singular matrices rejected" 2 !singulars);
-    Alcotest.test_case "FTRAN/BTRAN round-trip through a long eta file"
-      `Quick (fun () ->
-        let rng = Workload.Rng.create 2024L in
-        let m = 25 in
-        (* Random sparse, diagonally dominant starting basis; [cols] is
-           kept as the ground-truth B so we can multiply solves back. *)
-        let cols =
-          Array.init m (fun pos ->
-              let c =
-                Array.init m (fun _ ->
-                    if Workload.Rng.int rng 100 < 25 then
-                      Workload.Rng.float_range rng (-1.0) 1.0
-                    else 0.0)
-              in
-              c.(pos) <- c.(pos) +. 4.0;
-              c)
-        in
-        let rep = Lp.Basis.create Lp.Basis.Factored_lu m in
-        Lp.Basis.factorize rep (fun pos f ->
-            Array.iteri (fun i v -> if v <> 0.0 then f i v) cols.(pos));
-        let mul_b x =
-          let y = Array.make m 0.0 in
-          Array.iteri
-            (fun pos c ->
-              let xp = x.(pos) in
-              if xp <> 0.0 then
-                Array.iteri (fun i v -> y.(i) <- y.(i) +. (v *. xp)) c)
-            cols;
-          y
-        in
-        let mul_bt y =
-          Array.map
-            (fun c ->
-              let acc = ref 0.0 in
-              Array.iteri (fun i v -> acc := !acc +. (v *. y.(i))) c;
-              !acc)
-            cols
-        in
-        let check_roundtrip tag =
-          let b =
-            Array.init m (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)
-          in
-          let x = Array.copy b in
-          ignore (Lp.Basis.ftran_in_place rep x : int);
-          Array.iteri
-            (fun i v ->
-              Alcotest.(check (float 1e-5)) (tag ^ ": B.(ftran b) = b")
-                b.(i) v)
-            (mul_b x);
-          let c =
-            Array.init m (fun _ -> Workload.Rng.float_range rng (-2.0) 2.0)
-          in
-          let y = Array.copy c in
-          ignore (Lp.Basis.btran_in_place rep y : int);
-          Array.iteri
-            (fun pos v ->
-              Alcotest.(check (float 1e-5)) (tag ^ ": Bt.(btran c) = c")
-                c.(pos) v)
-            (mul_bt y)
-        in
-        check_roundtrip "fresh factorization";
-        (* 40 pivots, each appending a product-form eta; Basis never
-           refactorizes on its own, so the full eta file stays live. *)
-        let w = Array.make m 0.0 in
-        let pivots = ref 0 in
-        while !pivots < 40 do
-          let a =
-            Array.init m (fun _ ->
-                if Workload.Rng.int rng 100 < 30 then
-                  Workload.Rng.float_range rng (-2.0) 2.0
-                else 0.0)
-          in
-          Array.fill w 0 m 0.0;
-          ignore
-            (Lp.Basis.ftran_col rep
-               (fun f -> Array.iteri (fun i v -> if v <> 0.0 then f i v) a)
-               w
-              : int);
-          let r = Workload.Rng.int rng m in
-          if Float.abs w.(r) > 1e-3 then begin
-            ignore (Lp.Basis.update rep ~r ~w);
-            cols.(r) <- a;
-            incr pivots;
-            if !pivots mod 8 = 0 then
-              check_roundtrip (Printf.sprintf "after %d pivots" !pivots)
-          end
-        done;
-        Alcotest.(check int) "eta file length" 40
-          (Lp.Basis.eta_count rep);
-        check_roundtrip "after 40 pivots");
     Alcotest.test_case
       "FTRAN/BTRAN round-trip through Forrest–Tomlin updates" `Quick
       (fun () ->
@@ -515,7 +425,7 @@ let basis_tests =
               c.(pos) <- c.(pos) +. 4.0;
               c)
         in
-        let rep = Lp.Basis.create Lp.Basis.Updatable_lu m in
+        let rep = Lp.Basis.create m in
         Lp.Basis.factorize rep (fun pos f ->
             Array.iteri (fun i v -> if v <> 0.0 then f i v) cols.(pos));
         let mul_b x =
@@ -579,7 +489,7 @@ let basis_tests =
           let r = Workload.Rng.int rng m in
           if Float.abs w.(r) > 1e-3 then begin
             cols.(r) <- a;
-            (match Lp.Basis.update rep ~r ~w with
+            (match Lp.Basis.update rep ~r with
             | Lp.Basis.Applied { work; added } ->
               Alcotest.(check bool) "positive update work" true (work > 0);
               Alcotest.(check bool) "non-negative fill" true (added >= 0)
@@ -594,8 +504,6 @@ let basis_tests =
               check_roundtrip (Printf.sprintf "after %d pivots" !pivots)
           end
         done;
-        Alcotest.(check int) "no eta file on the update form" 0
-          (Lp.Basis.eta_count rep);
         (* A refactorization (after a rejection) resets the update count,
            so only the rejection-free run pins it exactly. *)
         if !rejections = 0 then
@@ -606,32 +514,16 @@ let basis_tests =
         check_roundtrip "after 40 pivots");
     Alcotest.test_case "update telemetry reaches solve stats" `Quick
       (fun () ->
-        (* One mid-sized LP under each representation: the update form
-           reports FT updates and no eta entries, the eta form the
-           reverse — the counters the bench telemetry is built on. *)
+        (* A mid-sized LP reports its Forrest–Tomlin updates — the counter
+           the bench telemetry is built on. *)
         let rng = Workload.Rng.create 404L in
         let model, _, _ = random_lp rng ~n:8 ~m_rows:8 in
-        let run kind =
-          let stats = Runtime.Stats.create () in
-          let params =
-            { Lp.Simplex.default_params with
-              Lp.Simplex.factorization = kind }
-          in
-          let r = Lp.Simplex.solve ~params ~stats (Lp.Std_form.of_model model) in
-          Alcotest.(check bool) "solved" true
-            (r.Lp.Simplex.status = Lp.Simplex.Optimal);
-          stats
-        in
-        let upd = run Lp.Basis.Updatable_lu in
-        let eta = run Lp.Basis.Factored_lu in
-        Alcotest.(check int) "update form appends no etas" 0
-          upd.Runtime.Stats.eta_entries;
-        Alcotest.(check bool) "update form counts updates" true
-          (upd.Runtime.Stats.basis_updates > 0);
-        Alcotest.(check int) "eta form counts no updates" 0
-          eta.Runtime.Stats.basis_updates;
-        Alcotest.(check bool) "eta form appends etas" true
-          (eta.Runtime.Stats.eta_entries > 0));
+        let stats = Runtime.Stats.create () in
+        let r = Lp.Simplex.solve ~stats (Lp.Std_form.of_model model) in
+        Alcotest.(check bool) "solved" true
+          (r.Lp.Simplex.status = Lp.Simplex.Optimal);
+        Alcotest.(check bool) "updates counted" true
+          (stats.Runtime.Stats.basis_updates > 0));
   ]
 
 let basis_properties =
@@ -656,28 +548,10 @@ let basis_properties =
   in
   let dflt = Lp.Simplex.default_params in
   [
-    agree "dense-inverse and factored paths agree on random LPs" 40 77
-      { dflt with
-        Lp.Simplex.factorization = Lp.Basis.Dense_inverse;
-        partial_pricing = false }
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Factored_lu };
-    agree "tiny eta limit forces refactorizations without changing optima"
-      30 911
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Factored_lu }
-      { dflt with
-        Lp.Simplex.factorization = Lp.Basis.Factored_lu;
-        eta_limit = 2;
-        refactor_every = 5 };
     agree "partial pricing finds the same optimum as full Dantzig sweeps"
       30 424
       { dflt with Lp.Simplex.partial_pricing = false }
       dflt;
-    agree "Forrest–Tomlin updates agree with the eta-file path" 40 551
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Factored_lu }
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Updatable_lu };
-    agree "Forrest–Tomlin updates agree with the dense inverse" 30 662
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Dense_inverse }
-      { dflt with Lp.Simplex.factorization = Lp.Basis.Updatable_lu };
     agree "tiny fill limit forces refactorizations without changing optima"
       30 733 dflt
       { dflt with Lp.Simplex.fill_limit = 1.01; refactor_every = 3 };
@@ -690,11 +564,79 @@ let basis_properties =
       { dflt with Lp.Simplex.refactor_every = 1 };
   ]
 
+(* An optimality certificate that checks the simplex answer against the
+   LP itself, not against a second basis representation.  On the internal
+   form [min cᵀx, A·x = 0, lb <= x <= ub] with row duals [y], the reduced
+   costs [d = c − Aᵀy] give the Lagrangian bound
+   [Σ_j min(d_j·lb_j, d_j·ub_j)] <= cᵀx for every feasible [x]; a feasible
+   [x] attaining it is optimal.  Checked: [x] within its bounds and rows
+   within their ranges, each [d_j]'s sign consistent with the column's
+   final status, and the bound equal to the primal objective. *)
+let certifies_optimum sf (r : Lp.Simplex.result) =
+  let open Lp.Std_form in
+  let ns = sf.n_struct and tol = 1e-6 in
+  let within lo hi v =
+    v >= lo -. (tol *. Float.max 1.0 (Float.abs lo))
+    && v <= hi +. (tol *. Float.max 1.0 (Float.abs hi))
+  in
+  let act = row_activity sf r.Lp.Simplex.x in
+  let xval j = if j < ns then r.Lp.Simplex.x.(j) else act.(j - ns) in
+  (* Internal-sense reduced costs; a logical column is [−e_i] at zero
+     cost, so its reduced cost is the internal row dual. *)
+  let rc = Lazy.force r.Lp.Simplex.reduced_costs in
+  let d j =
+    (if j < ns then rc.(j) else r.Lp.Simplex.duals.(j - ns)) /. sf.obj_factor
+  in
+  let cols = List.init (n_total sf) Fun.id in
+  let primal_ok =
+    List.for_all (fun j -> within sf.lb.(j) sf.ub.(j) (xval j)) cols
+  in
+  let dual_ok =
+    match r.Lp.Simplex.final_basis with
+    | None -> false
+    | Some b ->
+      List.for_all
+        (fun j ->
+          match b.Lp.Simplex.stat.(j) with
+          | Lp.Simplex.At_lower -> d j >= -.tol
+          | Lp.Simplex.At_upper -> d j <= tol
+          | Lp.Simplex.Basic | Lp.Simplex.Free_nb -> Float.abs (d j) <= tol)
+        cols
+  in
+  let bound =
+    List.fold_left
+      (fun acc j ->
+        let dj = d j in
+        if Float.abs dj <= 1e-9 then acc
+        else acc +. if dj > 0.0 then dj *. sf.lb.(j) else dj *. sf.ub.(j))
+      0.0 cols
+  in
+  let primal = r.Lp.Simplex.internal_objective in
+  primal_ok && dual_ok
+  && Float.abs (primal -. bound) <= tol *. Float.max 1.0 (Float.abs primal)
+
+let certificate_properties =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"optimal solves carry a primal-dual optimality certificate"
+         ~count:70
+         QCheck2.Gen.(int_bound 100_000)
+         (fun seed ->
+           let rng = Workload.Rng.create (Int64.of_int (seed + 551)) in
+           let n = 1 + Workload.Rng.int rng 7 in
+           let m_rows = 1 + Workload.Rng.int rng 7 in
+           let model, _, _ = random_lp rng ~n ~m_rows in
+           let sf = Lp.Std_form.of_model model in
+           let r = Lp.Simplex.solve sf in
+           r.Lp.Simplex.status = Lp.Simplex.Optimal && certifies_optimum sf r));
+  ]
+
 let suite =
   [
     ("lp.expr", expr_tests);
     ("lp.model", model_tests);
     ("lp.simplex", simplex_tests @ simplex_properties);
     ("lp.session", session_tests @ session_properties);
-    ("lp.basis", basis_tests @ basis_properties);
+    ("lp.basis", basis_tests @ basis_properties @ certificate_properties);
   ]

@@ -321,7 +321,21 @@ let unit_tests =
           Alcotest.(check int) "greedy counter survives" 3
             back.Rstats.greedy_accepted;
           Alcotest.(check int) "absent rounding counters default to zero" 0
-            back.Rstats.rounding_attempts);
+            back.Rstats.rounding_attempts;
+          (* Documents from before the eta-file basis was deleted carry an
+             "eta_entries" counter; unknown members are ignored. *)
+          let with_eta =
+            match stripped with
+            | Statsutil.Json.Obj fields ->
+              Statsutil.Json.Obj
+                (("eta_entries", Statsutil.Json.Num 41.0) :: fields)
+            | other -> other
+          in
+          (match Solver.stats_of_json with_eta with
+          | Error e -> Alcotest.fail e
+          | Ok old ->
+            Alcotest.(check int) "eta_entries document decodes" 17
+              old.Rstats.simplex_iterations));
   ]
 
 let suite = [ ("rounding", unit_tests) ]
