@@ -551,6 +551,10 @@ let serve_cmd =
 
 (* ---- explain ------------------------------------------------------------ *)
 
+(* Exit status of [explain] when per-phase self ticks do not partition the
+   solve's work ticks. *)
+let exit_untiled = 5
+
 let explain_cmd =
   let file_opt_arg =
     Arg.(
@@ -628,12 +632,8 @@ let explain_cmd =
       List.iter
         (fun (d, t) -> Printf.printf "  domain %d: %d ticks\n" d t)
         per);
-    let metrics = Runtime.Metrics.to_string (Runtime.Span.metrics prof) in
-    if metrics <> "" then begin
-      Printf.printf "\nmetrics:\n";
-      String.split_on_char '\n' metrics
-      |> List.iter (fun l -> if l <> "" then Printf.printf "  %s\n" l)
-    end;
+    Printf.printf "\ncounters:  %s\n"
+      (Runtime.Stats.to_string o.Tvnep.Solver.stats);
     (* The accounting invariant the profiler is built around: per-phase
        self ticks partition the solve's work ticks exactly. *)
     let self = Runtime.Span.sum_self tree in
@@ -642,12 +642,17 @@ let explain_cmd =
         "explain: phase self ticks (%d) do not sum to the solve's ticks \
          (%d)\n"
         self o.Tvnep.Solver.ticks;
-      4
+      exit_untiled
     end
     else 0
   in
   Cmd.v
-    (Cmd.info "explain" ~exits
+    (Cmd.info "explain"
+       ~exits:
+         (Cmd.Exit.info exit_untiled
+            ~doc:"the per-phase self ticks do not sum to the solve's work \
+                  ticks (a profiler accounting bug)."
+         :: exits)
        ~doc:"Solve an instance with profiling on and print a top-down phase \
              tree: per phase the work-clock ticks spent below it, its own \
              self ticks, and call counts.  Per-phase self ticks sum exactly \

@@ -1,3 +1,5 @@
+module Json = Statsutil.Json
+
 type t = {
   mutable simplex_iterations : int;
   mutable refactorizations : int;
@@ -67,69 +69,127 @@ let create () =
     service_time = 0.0;
   }
 
+type field =
+  | Count of string * (t -> int) * (t -> int -> unit)
+  | Seconds of string * (t -> float) * (t -> float -> unit)
+
+(* One entry per record field, in outcome-JSON member order. *)
+let fields =
+  [
+    Count ("simplex_iterations", (fun s -> s.simplex_iterations),
+           fun s v -> s.simplex_iterations <- v);
+    Count ("refactorizations", (fun s -> s.refactorizations),
+           fun s v -> s.refactorizations <- v);
+    Count ("lp_solves", (fun s -> s.lp_solves),
+           fun s v -> s.lp_solves <- v);
+    Count ("ftran_nnz", (fun s -> s.ftran_nnz),
+           fun s v -> s.ftran_nnz <- v);
+    Count ("btran_nnz", (fun s -> s.btran_nnz),
+           fun s v -> s.btran_nnz <- v);
+    Count ("basis_updates", (fun s -> s.basis_updates),
+           fun s v -> s.basis_updates <- v);
+    Count ("spike_fill", (fun s -> s.spike_fill),
+           fun s v -> s.spike_fill <- v);
+    Count ("refactor_fill", (fun s -> s.refactor_fill),
+           fun s v -> s.refactor_fill <- v);
+    Count ("refactor_drift", (fun s -> s.refactor_drift),
+           fun s v -> s.refactor_drift <- v);
+    Count ("refactor_forced", (fun s -> s.refactor_forced),
+           fun s v -> s.refactor_forced <- v);
+    Count ("pricing_hits", (fun s -> s.pricing_hits),
+           fun s v -> s.pricing_hits <- v);
+    Count ("pricing_sweeps", (fun s -> s.pricing_sweeps),
+           fun s v -> s.pricing_sweeps <- v);
+    Count ("bb_nodes", (fun s -> s.bb_nodes),
+           fun s v -> s.bb_nodes <- v);
+    Count ("incumbents", (fun s -> s.incumbents),
+           fun s v -> s.incumbents <- v);
+    Count ("bound_updates", (fun s -> s.bound_updates),
+           fun s v -> s.bound_updates <- v);
+    Count ("greedy_lp_solves", (fun s -> s.greedy_lp_solves),
+           fun s v -> s.greedy_lp_solves <- v);
+    Count ("greedy_candidates", (fun s -> s.greedy_candidates),
+           fun s v -> s.greedy_candidates <- v);
+    Count ("greedy_accepted", (fun s -> s.greedy_accepted),
+           fun s v -> s.greedy_accepted <- v);
+    Count ("rounding_attempts", (fun s -> s.rounding_attempts),
+           fun s v -> s.rounding_attempts <- v);
+    Count ("rounding_candidates", (fun s -> s.rounding_candidates),
+           fun s v -> s.rounding_candidates <- v);
+    Count ("rounding_repairs", (fun s -> s.rounding_repairs),
+           fun s v -> s.rounding_repairs <- v);
+    Count ("rounding_fallbacks", (fun s -> s.rounding_fallbacks),
+           fun s v -> s.rounding_fallbacks <- v);
+    Count ("service_requests", (fun s -> s.service_requests),
+           fun s v -> s.service_requests <- v);
+    Count ("service_admitted", (fun s -> s.service_admitted),
+           fun s v -> s.service_admitted <- v);
+    Count ("service_denied", (fun s -> s.service_denied),
+           fun s v -> s.service_denied <- v);
+    Count ("service_fallbacks", (fun s -> s.service_fallbacks),
+           fun s v -> s.service_fallbacks <- v);
+    Count ("service_reevals", (fun s -> s.service_reevals),
+           fun s v -> s.service_reevals <- v);
+    Seconds ("greedy_time", (fun s -> s.greedy_time),
+             fun s v -> s.greedy_time <- v);
+    Seconds ("build_time", (fun s -> s.build_time),
+             fun s v -> s.build_time <- v);
+    Seconds ("search_time", (fun s -> s.search_time),
+             fun s v -> s.search_time <- v);
+    Seconds ("service_time", (fun s -> s.service_time),
+             fun s v -> s.service_time <- v);
+  ]
+
 let merge ~into s =
-  into.simplex_iterations <- into.simplex_iterations + s.simplex_iterations;
-  into.refactorizations <- into.refactorizations + s.refactorizations;
-  into.lp_solves <- into.lp_solves + s.lp_solves;
-  into.ftran_nnz <- into.ftran_nnz + s.ftran_nnz;
-  into.btran_nnz <- into.btran_nnz + s.btran_nnz;
-  into.basis_updates <- into.basis_updates + s.basis_updates;
-  into.spike_fill <- into.spike_fill + s.spike_fill;
-  into.refactor_fill <- into.refactor_fill + s.refactor_fill;
-  into.refactor_drift <- into.refactor_drift + s.refactor_drift;
-  into.refactor_forced <- into.refactor_forced + s.refactor_forced;
-  into.pricing_hits <- into.pricing_hits + s.pricing_hits;
-  into.pricing_sweeps <- into.pricing_sweeps + s.pricing_sweeps;
-  into.bb_nodes <- into.bb_nodes + s.bb_nodes;
-  into.incumbents <- into.incumbents + s.incumbents;
-  into.bound_updates <- into.bound_updates + s.bound_updates;
-  into.greedy_lp_solves <- into.greedy_lp_solves + s.greedy_lp_solves;
-  into.greedy_candidates <- into.greedy_candidates + s.greedy_candidates;
-  into.greedy_accepted <- into.greedy_accepted + s.greedy_accepted;
-  into.rounding_attempts <- into.rounding_attempts + s.rounding_attempts;
-  into.rounding_candidates <- into.rounding_candidates + s.rounding_candidates;
-  into.rounding_repairs <- into.rounding_repairs + s.rounding_repairs;
-  into.rounding_fallbacks <- into.rounding_fallbacks + s.rounding_fallbacks;
-  into.service_requests <- into.service_requests + s.service_requests;
-  into.service_admitted <- into.service_admitted + s.service_admitted;
-  into.service_denied <- into.service_denied + s.service_denied;
-  into.service_fallbacks <- into.service_fallbacks + s.service_fallbacks;
-  into.service_reevals <- into.service_reevals + s.service_reevals;
-  into.greedy_time <- into.greedy_time +. s.greedy_time;
-  into.build_time <- into.build_time +. s.build_time;
-  into.search_time <- into.search_time +. s.search_time;
-  into.service_time <- into.service_time +. s.service_time
+  List.iter
+    (function
+      | Count (_, get, set) -> set into (get into + get s)
+      | Seconds (_, get, set) -> set into (get into +. get s))
+    fields
 
 let to_string s =
-  let base =
-    Printf.sprintf
-      "%d LP solves, %d simplex iters, %d refactorizations (%d fill, %d \
-       drift, %d forced) | basis: %d ftran nnz, %d btran nnz, %d FT \
-       updates, %d spike fill | pricing: %d list hits, %d sweeps | %d \
-       nodes, %d incumbents, %d bound updates | greedy: %d LPs, %d \
-       candidates, %d accepted | phases: greedy %.3fs, build %.3fs, \
-       search %.3fs"
-      s.lp_solves s.simplex_iterations s.refactorizations s.refactor_fill
-      s.refactor_drift s.refactor_forced s.ftran_nnz s.btran_nnz
-      s.basis_updates s.spike_fill s.pricing_hits s.pricing_sweeps
-      s.bb_nodes s.incumbents s.bound_updates
-      s.greedy_lp_solves s.greedy_candidates s.greedy_accepted s.greedy_time
-      s.build_time s.search_time
-  in
-  let base =
-    if s.rounding_attempts = 0 then base
-    else
-      base
-      ^ Printf.sprintf
-          " | rounding: %d attempts, %d candidates, %d repairs, %d fallbacks"
-          s.rounding_attempts s.rounding_candidates s.rounding_repairs
-          s.rounding_fallbacks
-  in
-  if s.service_requests = 0 then base
-  else
-    base
-    ^ Printf.sprintf
-        " | service: %d requests, %d admitted, %d denied, %d fallbacks, %d \
-         re-evals, %.3fs"
-        s.service_requests s.service_admitted s.service_denied
-        s.service_fallbacks s.service_reevals s.service_time
+  List.filter_map
+    (function
+      | Count (k, get, _) ->
+        let n = get s in
+        if n = 0 then None else Some (Printf.sprintf "%s %d" k n)
+      | Seconds (k, get, _) ->
+        let x = get s in
+        if x = 0.0 then None else Some (Printf.sprintf "%s %.3fs" k x))
+    fields
+  |> String.concat ", "
+
+let to_json s =
+  Json.Obj
+    (List.map
+       (function
+         | Count (k, get, _) -> (k, Json.Num (float_of_int (get s)))
+         | Seconds (k, get, _) -> (k, Json.of_float (get s)))
+       fields)
+
+open Json.Syntax
+
+let of_json doc =
+  match doc with
+  | Json.Obj _ ->
+    (* Tolerant on absent and unknown members (absent entries stay zero),
+       strict on malformed ones. *)
+    let s = create () in
+    let decode k dec set =
+      match Json.member k doc with
+      | None -> Ok ()
+      | Some v ->
+        let* x = Result.map_error (fun e -> k ^ ": " ^ e) (dec v) in
+        Ok (set s x)
+    in
+    let rec go = function
+      | [] -> Ok s
+      | Count (k, _, set) :: rest ->
+        let* () = decode k Json.decode_int set in
+        go rest
+      | Seconds (k, _, set) :: rest ->
+        let* () = decode k Json.decode_float set in
+        go rest
+    in
+    go fields
+  | _ -> Error "stats: expected an object"

@@ -64,10 +64,35 @@ type t = {
 val create : unit -> t
 (** All counters zero. *)
 
+(** One counter: its key (the record field's name), getter and setter.
+    [Seconds] entries are phase durations. *)
+type field =
+  | Count of string * (t -> int) * (t -> int -> unit)
+  | Seconds of string * (t -> float) * (t -> float -> unit)
+
+val fields : field list
+(** The counter registry: one entry per record field, in outcome-JSON
+    member order.  {!merge}, {!to_string}, {!to_json} and {!of_json} are
+    folds over it, so a counter added to the record and to this table
+    reaches every output without per-field code. *)
+
 val merge : into:t -> t -> unit
-(** Fold one record into another (all fields summed).  Used both to
+(** Fold one record into another (every entry summed).  Used both to
     aggregate per-solve stats in the bench harness and to fold per-worker
     records back into the caller's after a parallel batch. *)
 
 val to_string : t -> string
-(** One-line human-readable rendering (used by the CLI). *)
+(** One-line rendering of the nonzero entries as [key value], comma
+    separated, in {!fields} order; seconds print as [%.3fs].  The empty
+    string when every entry is zero.  Used by the CLI's [counters:]
+    line. *)
+
+val to_json : t -> Statsutil.Json.t
+(** An object with one member per entry, keyed and ordered as
+    {!fields}. *)
+
+val of_json : Statsutil.Json.t -> (t, string) result
+(** Inverse of {!to_json}.  Absent entries decode as 0 (documents from
+    before a counter existed) and unknown members are ignored (documents
+    carrying a since-deleted counter); a malformed value is an [Error]
+    naming its key. *)

@@ -1,7 +1,6 @@
 module B = Runtime.Budget
 module Rstats = Runtime.Stats
 module Span = Runtime.Span
-module Metrics = Runtime.Metrics
 module Pool = Runtime.Pool
 module Instance = Tvnep.Instance
 module Request = Tvnep.Request
@@ -175,6 +174,10 @@ let deny ~pstats ?exact ?greedy ?(priced_cost = nan) rung =
     p_stats = pstats;
   }
 
+let rec take k acc = function
+  | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
+  | rest -> (List.rev acc, rest)
+
 (* Evaluate one arrival against the committed snapshot on a private
    budget fork.  Pure speculation: no shared state is written, so batch
    members may run concurrently; the merge loop decides what commits.
@@ -191,20 +194,22 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
        solver may re-route its flows but never move or evict it — plus
        the arrival with its window clipped to the present. *)
     let idxs = committed @ [ req ] in
+    let window (r : Request.t) ~start_min ~end_max =
+      Request.make ~name:r.Request.name ~graph:r.Request.graph
+        ~node_demand:r.Request.node_demand ~link_demand:r.Request.link_demand
+        ~duration:r.Request.duration ~start_min ~end_max
+    in
+    let clipped (r : Request.t) =
+      window r
+        ~start_min:(Float.max r.Request.start_min now)
+        ~end_max:r.Request.end_max
+    in
     let narrowed i =
       let r = Instance.request inst i in
-      if i = req then
-        Request.make ~name:r.Request.name ~graph:r.Request.graph
-          ~node_demand:r.Request.node_demand
-          ~link_demand:r.Request.link_demand ~duration:r.Request.duration
-          ~start_min:(Float.max r.Request.start_min now)
-          ~end_max:r.Request.end_max
+      if i = req then clipped r
       else
         let a = assignments.(i) in
-        Request.make ~name:r.Request.name ~graph:r.Request.graph
-          ~node_demand:r.Request.node_demand
-          ~link_demand:r.Request.link_demand ~duration:r.Request.duration
-          ~start_min:a.Solution.t_start
+        window r ~start_min:a.Solution.t_start
           ~end_max:(a.Solution.t_start +. r.Request.duration)
     in
     let mappings =
@@ -260,6 +265,15 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
         let revenue = r.Request.duration *. Request.total_node_demand r in
         if revenue +. 1e-9 < cost then Error cost else Ok cost
     in
+    (* Every rung's search runs single-domain on its own sub-budget. *)
+    let mip =
+      {
+        cfg.Config.mip with
+        Mip.Branch_bound.time_limit = infinity;
+        jobs = 1;
+        log_every = 0;
+      }
+    in
     let admit ~rung ?exact ?greedy ?(moved = []) lifted cost =
       {
         p_admit = true;
@@ -298,24 +312,11 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
                 (assignments.(b).Solution.t_start, b))
             movable
         in
-        let movable, _ =
-          let rec take k acc = function
-            | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
-            | rest -> (List.rev acc, rest)
-          in
-          take cfg.Config.reconfigure_limit [] movable
-        in
+        let movable, _ = take cfg.Config.reconfigure_limit [] movable in
         if movable = [] then None
         else begin
           let widened i =
-            let r = Instance.request inst i in
-            if List.mem i movable then
-              Request.make ~name:r.Request.name ~graph:r.Request.graph
-                ~node_demand:r.Request.node_demand
-                ~link_demand:r.Request.link_demand
-                ~duration:r.Request.duration
-                ~start_min:(Float.max r.Request.start_min now)
-                ~end_max:r.Request.end_max
+            if List.mem i movable then clipped (Instance.request inst i)
             else narrowed i
           in
           let ev2 =
@@ -340,14 +341,6 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
               ~time_limit:
                 (cfg.Config.exact_fraction *. Float.max 0.0 (B.remaining fork))
               fork
-          in
-          let mip =
-            {
-              cfg.Config.mip with
-              Mip.Branch_bound.time_limit = infinity;
-              jobs = 1;
-              log_every = 0;
-            }
           in
           let ro =
             Span.with_ fprof fork "reconfigure" @@ fun () ->
@@ -400,14 +393,6 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
     let attempt_rounded ~exact () =
       if (not cfg.Config.rounding) || B.remaining fork <= 0.0 then None
       else begin
-        let mip =
-          {
-            cfg.Config.mip with
-            Mip.Branch_bound.time_limit = infinity;
-            jobs = 1;
-            log_every = 0;
-          }
-        in
         let rbudget =
           B.sub ~time_limit:(0.5 *. Float.max 0.0 (B.remaining fork)) fork
         in
@@ -444,14 +429,6 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
       end
     in
     (* Rung 1: exact branch-and-bound on a fraction of the slice. *)
-    let mip =
-      {
-        cfg.Config.mip with
-        Mip.Branch_bound.time_limit = infinity;
-        jobs = 1;
-        log_every = 0;
-      }
-    in
     let exact_budget =
       B.sub ~time_limit:(cfg.Config.exact_fraction *. cfg.Config.slice) fork
     in
@@ -535,10 +512,6 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
        of taking the whole stream down.  Deterministic — the same state
        fails the same way at any jobs level. *)
     deny ~pstats ~greedy:Solver.Failed Greedy
-
-let rec take k acc = function
-  | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
-  | rest -> (List.rev acc, rest)
 
 (* Nearest-rank percentile of a sorted array. *)
 let percentile p sorted =
@@ -804,16 +777,6 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
               end
               else
                 stats.Rstats.service_denied <- stats.Rstats.service_denied + 1;
-              (match config.Config.prof with
-              | Some into ->
-                let m = Span.metrics into in
-                Metrics.incr m
-                  (if proposal.p_admit then "service.admitted"
-                   else "service.denied");
-                Metrics.incr m ("service.rung." ^ rung_to_string proposal.p_rung);
-                if reevaluated then Metrics.incr m "service.reevals";
-                Metrics.observe m "service.arrival_ticks" (float_of_int ticks)
-              | None -> ());
               records :=
                 {
                   request = req;

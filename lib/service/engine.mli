@@ -197,10 +197,7 @@ module Config : sig
             per-slice child recorder tagged with the evaluating worker's
             domain and grafted back onto the global timeline at merge
             time, in event order.  Everything except the domain tag is
-            independent of [jobs].  Metrics accumulate
-            [service.admitted] / [service.denied] / [service.rung.*] /
-            [service.reevals] counters and a [service.arrival_ticks]
-            histogram. *)
+            independent of [jobs]. *)
   }
 
   val make :

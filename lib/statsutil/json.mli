@@ -35,7 +35,7 @@ val to_list : t -> t list option
 (** {2 Codec helpers}
 
     Shared by every versioned document in the repository (solver
-    outcomes, service records and summaries, metrics registries), so a
+    outcomes and their counters, service records and summaries), so a
     number is encoded and decoded the same way everywhere. *)
 
 val of_float : float -> t

@@ -757,103 +757,6 @@ let schema_version = 1
 
 open Json.Syntax
 
-let stats_to_json (s : Rstats.t) =
-  let i n = Json.Num (float_of_int n) in
-  Json.Obj
-    [
-      ("simplex_iterations", i s.Rstats.simplex_iterations);
-      ("refactorizations", i s.Rstats.refactorizations);
-      ("lp_solves", i s.Rstats.lp_solves);
-      ("ftran_nnz", i s.Rstats.ftran_nnz);
-      ("btran_nnz", i s.Rstats.btran_nnz);
-      ("basis_updates", i s.Rstats.basis_updates);
-      ("spike_fill", i s.Rstats.spike_fill);
-      ("refactor_fill", i s.Rstats.refactor_fill);
-      ("refactor_drift", i s.Rstats.refactor_drift);
-      ("refactor_forced", i s.Rstats.refactor_forced);
-      ("pricing_hits", i s.Rstats.pricing_hits);
-      ("pricing_sweeps", i s.Rstats.pricing_sweeps);
-      ("bb_nodes", i s.Rstats.bb_nodes);
-      ("incumbents", i s.Rstats.incumbents);
-      ("bound_updates", i s.Rstats.bound_updates);
-      ("greedy_lp_solves", i s.Rstats.greedy_lp_solves);
-      ("greedy_candidates", i s.Rstats.greedy_candidates);
-      ("greedy_accepted", i s.Rstats.greedy_accepted);
-      (* Added without a schema bump, like [colgen]: decoders default
-         absent counters (old documents) to zero. *)
-      ("rounding_attempts", i s.Rstats.rounding_attempts);
-      ("rounding_candidates", i s.Rstats.rounding_candidates);
-      ("rounding_repairs", i s.Rstats.rounding_repairs);
-      ("rounding_fallbacks", i s.Rstats.rounding_fallbacks);
-      ("service_requests", i s.Rstats.service_requests);
-      ("service_admitted", i s.Rstats.service_admitted);
-      ("service_denied", i s.Rstats.service_denied);
-      ("service_fallbacks", i s.Rstats.service_fallbacks);
-      ("service_reevals", i s.Rstats.service_reevals);
-      ("greedy_time", Json.of_float s.Rstats.greedy_time);
-      ("build_time", Json.of_float s.Rstats.build_time);
-      ("search_time", Json.of_float s.Rstats.search_time);
-      ("service_time", Json.of_float s.Rstats.service_time);
-    ]
-
-let stats_of_json doc =
-  match doc with
-  | Json.Obj _ ->
-    (* Tolerant on missing counters (they default to zero), strict on
-       malformed ones. *)
-    let s = Rstats.create () in
-    let geti name set =
-      match Json.member name doc with
-      | None -> Ok ()
-      | Some v ->
-        let* n = Result.map_error (fun e -> name ^ ": " ^ e) (Json.decode_int v) in
-        set n;
-        Ok ()
-    in
-    let getf name set =
-      match Json.member name doc with
-      | None -> Ok ()
-      | Some v ->
-        let* x =
-          Result.map_error (fun e -> name ^ ": " ^ e) (Json.decode_float v)
-        in
-        set x;
-        Ok ()
-    in
-    let* () = geti "simplex_iterations" (fun n -> s.Rstats.simplex_iterations <- n) in
-    let* () = geti "refactorizations" (fun n -> s.Rstats.refactorizations <- n) in
-    let* () = geti "lp_solves" (fun n -> s.Rstats.lp_solves <- n) in
-    let* () = geti "ftran_nnz" (fun n -> s.Rstats.ftran_nnz <- n) in
-    let* () = geti "btran_nnz" (fun n -> s.Rstats.btran_nnz <- n) in
-    let* () = geti "basis_updates" (fun n -> s.Rstats.basis_updates <- n) in
-    let* () = geti "spike_fill" (fun n -> s.Rstats.spike_fill <- n) in
-    let* () = geti "refactor_fill" (fun n -> s.Rstats.refactor_fill <- n) in
-    let* () = geti "refactor_drift" (fun n -> s.Rstats.refactor_drift <- n) in
-    let* () = geti "refactor_forced" (fun n -> s.Rstats.refactor_forced <- n) in
-    let* () = geti "pricing_hits" (fun n -> s.Rstats.pricing_hits <- n) in
-    let* () = geti "pricing_sweeps" (fun n -> s.Rstats.pricing_sweeps <- n) in
-    let* () = geti "bb_nodes" (fun n -> s.Rstats.bb_nodes <- n) in
-    let* () = geti "incumbents" (fun n -> s.Rstats.incumbents <- n) in
-    let* () = geti "bound_updates" (fun n -> s.Rstats.bound_updates <- n) in
-    let* () = geti "greedy_lp_solves" (fun n -> s.Rstats.greedy_lp_solves <- n) in
-    let* () = geti "greedy_candidates" (fun n -> s.Rstats.greedy_candidates <- n) in
-    let* () = geti "greedy_accepted" (fun n -> s.Rstats.greedy_accepted <- n) in
-    let* () = geti "rounding_attempts" (fun n -> s.Rstats.rounding_attempts <- n) in
-    let* () = geti "rounding_candidates" (fun n -> s.Rstats.rounding_candidates <- n) in
-    let* () = geti "rounding_repairs" (fun n -> s.Rstats.rounding_repairs <- n) in
-    let* () = geti "rounding_fallbacks" (fun n -> s.Rstats.rounding_fallbacks <- n) in
-    let* () = geti "service_requests" (fun n -> s.Rstats.service_requests <- n) in
-    let* () = geti "service_admitted" (fun n -> s.Rstats.service_admitted <- n) in
-    let* () = geti "service_denied" (fun n -> s.Rstats.service_denied <- n) in
-    let* () = geti "service_fallbacks" (fun n -> s.Rstats.service_fallbacks <- n) in
-    let* () = geti "service_reevals" (fun n -> s.Rstats.service_reevals <- n) in
-    let* () = getf "greedy_time" (fun x -> s.Rstats.greedy_time <- x) in
-    let* () = getf "build_time" (fun x -> s.Rstats.build_time <- x) in
-    let* () = getf "search_time" (fun x -> s.Rstats.search_time <- x) in
-    let* () = getf "service_time" (fun x -> s.Rstats.service_time <- x) in
-    Ok s
-  | _ -> Error "stats: expected an object"
-
 let assignment_to_json (a : Solution.assignment) =
   Json.Obj
     [
@@ -1011,7 +914,7 @@ let outcome_to_json o =
                 Json.Num (float_of_int c.arc_flow_columns) );
               ("converged", Json.Bool c.colgen_converged);
             ] );
-      ("stats", stats_to_json o.stats);
+      ("stats", Rstats.to_json o.stats);
     ]
 
 let outcome_of_json doc =
@@ -1082,7 +985,7 @@ let outcome_of_json doc =
     let* stats =
       match Json.member "stats" doc with
       | None -> Ok (Rstats.create ())
-      | Some v -> stats_of_json v
+      | Some v -> Rstats.of_json v
     in
     let* bound = Json.float_field "bound" doc in
     let* gap = Json.float_field "gap" doc in

@@ -202,35 +202,21 @@ let makespan_tests =
           (Tvnep.Objective.requires_full_embedding Tvnep.Objective.Min_makespan));
   ]
 
-let hose_tests =
+(* Requests with antiparallel virtual links: each is a 2-VM bidirectional
+   star (switch 0 with no compute, VMs 1 and 2 linked both ways to it). *)
+let solver_tests =
   [
-    Alcotest.test_case "virtual cluster structure" `Quick (fun () ->
-        let r =
-          Tvnep.Hose.virtual_cluster ~name:"vc" ~vms:3 ~vm_demand:1.0
-            ~bandwidth:0.5 ~duration:1.0 ~start_min:0.0 ~end_max:2.0
-        in
-        Alcotest.(check int) "nodes" 4 (Tvnep.Request.num_vnodes r);
-        Alcotest.(check int) "links" 6 (Tvnep.Request.num_vlinks r);
-        feq 1e-9 "switch has no compute" 0.0
-          r.Tvnep.Request.node_demand.(Tvnep.Hose.switch_node);
-        feq 1e-9 "per-VM revenue weight" 3.0 (Tvnep.Request.total_node_demand r);
-        Alcotest.(check bool) "recognized" true (Tvnep.Hose.is_virtual_cluster r));
-    Alcotest.test_case "star requests are not virtual clusters" `Quick
-      (fun () ->
-        let g = Graphs.Generators.star ~leaves:2 ~orientation:Graphs.Generators.To_center in
-        let r =
-          Tvnep.Request.make ~name:"s" ~graph:g ~node_demand:[| 1.0; 1.0; 1.0 |]
-            ~link_demand:[| 0.5; 0.5 |] ~duration:1.0 ~start_min:0.0
-            ~end_max:2.0
-        in
-        Alcotest.(check bool) "one-directional star" false
-          (Tvnep.Hose.is_virtual_cluster r));
     Alcotest.test_case "clusters solve end to end" `Slow (fun () ->
         let g = Graphs.Generators.grid ~rows:2 ~cols:2 in
         let substrate = Tvnep.Substrate.uniform g ~node_cap:2.0 ~link_cap:2.0 in
         let mk name start =
-          Tvnep.Hose.virtual_cluster ~name ~vms:2 ~vm_demand:1.0 ~bandwidth:0.5
-            ~duration:1.0 ~start_min:start ~end_max:(start +. 2.0)
+          let graph = Graphs.Digraph.create 3 in
+          List.iter
+            (fun (src, dst) -> ignore (Graphs.Digraph.add_edge graph ~src ~dst))
+            [ (1, 0); (0, 1); (2, 0); (0, 2) ];
+          Tvnep.Request.make ~name ~graph ~node_demand:[| 0.0; 1.0; 1.0 |]
+            ~link_demand:[| 0.5; 0.5; 0.5; 0.5 |] ~duration:1.0
+            ~start_min:start ~end_max:(start +. 2.0)
         in
         let inst =
           Tvnep.Instance.make
@@ -251,13 +237,6 @@ let hose_tests =
           Alcotest.(check int) "both clusters fit" 2
             (Tvnep.Solution.num_accepted sol)
         | None -> Alcotest.fail "no solution");
-    Alcotest.test_case "invalid parameters rejected" `Quick (fun () ->
-        Alcotest.check_raises "vms"
-          (Invalid_argument "Hose.virtual_cluster: vms must be positive")
-          (fun () ->
-            ignore
-              (Tvnep.Hose.virtual_cluster ~name:"x" ~vms:0 ~vm_demand:1.0
-                 ~bandwidth:1.0 ~duration:1.0 ~start_min:0.0 ~end_max:2.0)));
   ]
 
 let preplaced_tests =
@@ -325,7 +304,7 @@ let suite =
     ("tvnep.discrete", discrete_tests);
     ("tvnep.seeding", seeding_tests);
     ("tvnep.makespan", makespan_tests);
-    ("tvnep.hose", hose_tests);
+    ("tvnep.solver", solver_tests);
     ("tvnep.preplaced", preplaced_tests);
     ("tvnep.gantt", gantt_tests);
   ]

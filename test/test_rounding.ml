@@ -300,7 +300,7 @@ let unit_tests =
         s.Rstats.simplex_iterations <- 17;
         s.Rstats.greedy_accepted <- 3;
         s.Rstats.rounding_attempts <- 9;
-        let doc = Solver.stats_to_json s in
+        let doc = Rstats.to_json s in
         let stripped =
           match doc with
           | Statsutil.Json.Obj fields ->
@@ -313,7 +313,7 @@ let unit_tests =
                  fields)
           | _ -> Alcotest.fail "stats encode as an object"
         in
-        match Solver.stats_of_json stripped with
+        match Rstats.of_json stripped with
         | Error e -> Alcotest.fail e
         | Ok back ->
           Alcotest.(check int) "known counters survive" 17
@@ -331,7 +331,7 @@ let unit_tests =
                 (("eta_entries", Statsutil.Json.Num 41.0) :: fields)
             | other -> other
           in
-          (match Solver.stats_of_json with_eta with
+          (match Rstats.of_json with_eta with
           | Error e -> Alcotest.fail e
           | Ok old ->
             Alcotest.(check int) "eta_entries document decodes" 17

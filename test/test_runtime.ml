@@ -112,6 +112,64 @@ let stats_tests =
         Runtime.Stats.merge ~into:a (Runtime.Stats.create ());
         Alcotest.(check string) "zero is neutral" before
           (Runtime.Stats.to_string a));
+    Alcotest.test_case "field table covers the record, one accessor each"
+      `Quick (fun () ->
+        let module S = Runtime.Stats in
+        (* Catches a record field missing from the table: every field of
+           [S.t] is one block slot (floats are boxed in a mixed record). *)
+        Alcotest.(check int) "one entry per record field"
+          (Obj.size (Obj.repr (S.create ())))
+          (List.length S.fields);
+        let key = function S.Count (k, _, _) | S.Seconds (k, _, _) -> k in
+        let keys = List.map key S.fields in
+        Alcotest.(check int) "keys are distinct" (List.length keys)
+          (List.length (List.sort_uniq compare keys));
+        (* Entry values as floats, so both kinds compare alike. *)
+        let values s =
+          List.map
+            (function
+              | S.Count (_, get, _) -> float_of_int (get s)
+              | S.Seconds (_, get, _) -> get s)
+            S.fields
+        in
+        let set_nth s i =
+          match List.nth S.fields i with
+          | S.Count (_, _, set) -> set s (i + 1)
+          | S.Seconds (_, _, set) -> set s (float_of_int (i + 1))
+        in
+        (* A copy-pasted accessor shows up as a setter that moves some
+           other entry's getter. *)
+        List.iteri
+          (fun i f ->
+            let s = S.create () in
+            set_nth s i;
+            Alcotest.(check (list (float 0.0)))
+              (key f ^ " setter touches only its own entry")
+              (List.mapi
+                 (fun j _ -> if j = i then float_of_int (i + 1) else 0.0)
+                 S.fields)
+              (values s))
+          S.fields;
+        let s = S.create () in
+        List.iteri (fun i _ -> set_nth s i) S.fields;
+        (match S.of_json (S.to_json s) with
+        | Error e -> Alcotest.fail e
+        | Ok back ->
+          Alcotest.(check (list (float 0.0))) "JSON round-trips every entry"
+            (values s) (values back));
+        let doubled = List.map (fun v -> 2.0 *. v) (values s) in
+        S.merge ~into:s s;
+        Alcotest.(check (list (float 0.0))) "self-merge doubles every entry"
+          doubled (values s);
+        match
+          S.of_json
+            (Statsutil.Json.Obj
+               [ ("bb_nodes", Statsutil.Json.Str "many") ])
+        with
+        | Ok _ -> Alcotest.fail "a string count decoded"
+        | Error e ->
+          Alcotest.(check bool) ("error names the key: " ^ e) true
+            (String.length e >= 8 && String.sub e 0 8 = "bb_nodes"));
   ]
 
 (* ---- Simplex under a budget ------------------------------------------- *)
