@@ -1,24 +1,27 @@
 module Imap = Map.Make (Int)
 
+(* Invariant: no stored coefficient is within [Lina.Tol.eps] of zero.  Every
+   operation keeps it by testing only the keys it touches, so building an
+   expression term by term is O(log n) per term, not O(n). *)
 type t = { terms : float Imap.t; const : float }
 
 let zero = { terms = Imap.empty; const = 0.0 }
 let const c = { terms = Imap.empty; const = c }
-
-let clean terms = Imap.filter (fun _ c -> not (Lina.Tol.is_zero c)) terms
+let nonzero c = if Lina.Tol.is_zero c then None else Some c
 
 let var ?(coeff = 1.0) v =
   if v < 0 then invalid_arg "Expr.var: negative id";
-  { terms = clean (Imap.singleton v coeff); const = 0.0 }
+  if Lina.Tol.is_zero coeff then zero
+  else { terms = Imap.singleton v coeff; const = 0.0 }
 
 let add_term e v c =
   if v < 0 then invalid_arg "Expr.add_term: negative id";
-  let merged =
+  let terms =
     Imap.update v
-      (function None -> Some c | Some c0 -> Some (c0 +. c))
+      (function None -> nonzero c | Some c0 -> nonzero (c0 +. c))
       e.terms
   in
-  { e with terms = clean merged }
+  { e with terms }
 
 let add_const e c = { e with const = e.const +. c }
 
@@ -26,14 +29,14 @@ let of_terms ?(const = 0.0) pairs =
   List.fold_left (fun e (v, c) -> add_term e v c) { zero with const } pairs
 
 let add a b =
-  let terms =
-    Imap.union (fun _ c1 c2 -> Some (c1 +. c2)) a.terms b.terms |> clean
-  in
+  let terms = Imap.union (fun _ c1 c2 -> nonzero (c1 +. c2)) a.terms b.terms in
   { terms; const = a.const +. b.const }
 
 let scale s e =
   if Lina.Tol.is_zero s then const 0.0
-  else { terms = Imap.map (fun c -> s *. c) e.terms; const = s *. e.const }
+  else
+    { terms = Imap.filter_map (fun _ c -> nonzero (s *. c)) e.terms;
+      const = s *. e.const }
 
 let sub a b = add a (scale (-1.0) b)
 let sum es = List.fold_left add zero es
