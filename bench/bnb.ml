@@ -23,22 +23,7 @@ let min_speedup = 2.0
    silently self-skips on a clamped-but-capable one. *)
 let detect_cores () =
   let from_domain = Domain.recommended_domain_count () in
-  let from_sys =
-    (* /sys/devices/system/cpu/online reads like "0-3" or "0,2-5". *)
-    try
-      let ic = open_in "/sys/devices/system/cpu/online" in
-      let line = input_line ic in
-      close_in ic;
-      List.fold_left
-        (fun acc part ->
-          match String.split_on_char '-' (String.trim part) with
-          | [ a; b ] -> acc + (int_of_string b - int_of_string a + 1)
-          | [ one ] when one <> "" -> acc + 1
-          | _ -> acc)
-        0
-        (String.split_on_char ',' (String.trim line))
-    with _ -> 0
-  in
+  let from_sys = Host.online_cpus () in
   (* Conservative: take the *minimum* of the signals that report.  On
      cgroup-constrained runners the cpuset shrinks one signal while the
      other still reports the physical host, and believing the optimist
@@ -147,6 +132,7 @@ let json_of_runs runs =
           (Printf.sprintf
              "deterministic work ticks (%.0e ticks = 1 budget second)"
              Figures.work_rate) );
+      ("host", Host.json ());
       ("identical_across_jobs", Bool true);
       ( "runs",
         List
@@ -171,6 +157,7 @@ let validate_json_string s =
   let open Statsutil.Json in
   match of_string s with
   | Error msg -> Error ("not valid JSON: " ^ msg)
+  | Ok doc when not (Host.present doc) -> Error "missing or malformed \"host\""
   | Ok doc -> (
     match member "schema" doc with
     | Some (Str "tvnep-bench-bnb/2") -> (

@@ -98,6 +98,7 @@ let json_of_runs runs =
           (Printf.sprintf
              "deterministic work ticks (%.0e ticks = 1 budget second)"
              Figures.work_rate) );
+      ("host", Host.json ());
       ("path_identical_across_jobs", Bool true);
       ( "runs",
         List
@@ -129,6 +130,7 @@ let validate_json_string s =
   let open Statsutil.Json in
   match of_string s with
   | Error msg -> Error ("not valid JSON: " ^ msg)
+  | Ok doc when not (Host.present doc) -> Error "missing or malformed \"host\""
   | Ok doc -> (
     match (member "schema" doc, member "schema_version" doc) with
     | Some (Str "tvnep-bench-colgen/2"), Some (Num 2.0) -> (

@@ -342,6 +342,7 @@ let json_of_cases cases ab uab (stats : Runtime.Stats.t) =
     [
       ("schema", Str "tvnep-bench-simplex/4");
       ("clock", Str "deterministic work ticks (1 tick = 1 work unit)");
+      ("host", Host.json ());
       ( "cases",
         List
           (List.map
@@ -388,6 +389,7 @@ let validate_json_string s =
   let open Statsutil.Json in
   match of_string s with
   | Error msg -> Error ("not valid JSON: " ^ msg)
+  | Ok doc when not (Host.present doc) -> Error "missing or malformed \"host\""
   | Ok doc -> (
     match member "schema" doc with
     | Some (Str "tvnep-bench-simplex/4") -> (

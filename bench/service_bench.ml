@@ -170,6 +170,7 @@ let json_of_runs runs ~ignored ~pricing ~exact_chain ~greedy_chain
           (Printf.sprintf
              "deterministic work ticks (%.0e ticks = 1 budget second)"
              Service.Engine.default_work_rate) );
+      ("host", Host.json ());
       ("identical_across_jobs", Bool true);
       ("comparison", comparison_json ~lifecycle:(List.hd runs) ~ignored);
       ( "rounding",
@@ -187,6 +188,7 @@ let validate_json_string s =
   let open Statsutil.Json in
   match of_string s with
   | Error msg -> Error ("not valid JSON: " ^ msg)
+  | Ok doc when not (Host.present doc) -> Error "missing or malformed \"host\""
   | Ok doc -> (
     match member "schema" doc with
     | Some (Str "tvnep-bench-service/4") -> (

@@ -2,7 +2,12 @@
 
     An expression is a finite map from variable id to coefficient plus a
     constant term.  This is the currency of the modeling layer: objective
-    functions and constraint left-hand sides are expressions. *)
+    functions and constraint left-hand sides are expressions.
+
+    Invariant: no stored coefficient is within [Lina.Tol.eps] of zero.
+    Every operation keeps it by testing only the coefficients it changes
+    (a sum that cancels drops its variable), so building an expression
+    term by term costs O(log n) per term. *)
 
 type t
 
@@ -21,6 +26,9 @@ val add : t -> t -> t
 val sub : t -> t -> t
 
 val scale : float -> t -> t
+(** [scale s e] is [s * e].  Products within [Lina.Tol.eps] of zero are
+    dropped, like cancellations; a factor within [Lina.Tol.eps] of zero
+    gives the constant 0. *)
 
 val add_term : t -> int -> float -> t
 (** [add_term e v c] is [e + c * x_v]. *)
@@ -34,7 +42,8 @@ val coeff : t -> int -> float
 val constant : t -> float
 
 val terms : t -> (int * float) list
-(** Non-zero terms in increasing variable order. *)
+(** Terms in increasing variable order; every coefficient [c] has
+    [|c| > Lina.Tol.eps]. *)
 
 val num_terms : t -> int
 

@@ -91,36 +91,6 @@ let add_range m ?name ~lo ~hi e =
   let rname = match name with Some n -> n | None -> auto_name m "c" in
   add_row m rname e lo hi
 
-let add_column m ?(lb = 0.0) ?(ub = infinity) ?(obj = 0.0) vname entries =
-  List.iter
-    (fun (i, _) ->
-      if i < 0 || i >= m.n_rows then
-        invalid_arg (Printf.sprintf "Model.add_column %s: unknown row %d" vname i))
-    entries;
-  let v = add_var m ~lb ~ub vname in
-  if entries <> [] then begin
-    (* rows_rev stores newest first: row index i sits at position
-       n_rows - 1 - i.  Splice the new coefficients in one pass. *)
-    let by_row = Hashtbl.create (List.length entries) in
-    List.iter
-      (fun (i, c) ->
-        let prev = try Hashtbl.find by_row i with Not_found -> 0.0 in
-        Hashtbl.replace by_row i (prev +. c))
-      entries;
-    let pos = ref (m.n_rows - 1) in
-    m.rows_rev <-
-      List.map
-        (fun r ->
-          let i = !pos in
-          decr pos;
-          match Hashtbl.find_opt by_row i with
-          | None -> r
-          | Some c -> { r with expr = Expr.add_term r.expr (v :> int) c })
-        m.rows_rev
-  end;
-  if obj <> 0.0 then m.obj <- Expr.add_term m.obj (v :> int) obj;
-  v
-
 let set_objective m sense e =
   check_expr m e;
   m.obj_sense <- sense;

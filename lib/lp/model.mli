@@ -29,22 +29,6 @@ val add_var :
     [kind = Continuous].  [Binary] forces bounds into [0,1] (intersected
     with any given bounds).  @raise Invalid_argument when [lb > ub]. *)
 
-val add_column :
-  t ->
-  ?lb:float ->
-  ?ub:float ->
-  ?obj:float ->
-  string ->
-  (int * float) list ->
-  var
-(** [add_column m name entries] adds a continuous variable {e and} splices
-    its coefficients into existing rows in one step — the model-level
-    mirror of {!Std_form.append_columns} for column generation.  Each
-    [(row index, coeff)] pair refers to a row in insertion order
-    (duplicates are summed); [?obj] adds the variable to the current
-    objective.  Rows added later can reference the variable as usual.
-    @raise Invalid_argument on an unknown row index or [lb > ub]. *)
-
 val add_le : t -> ?name:string -> Expr.t -> float -> unit
 (** [add_le m e rhs] adds the row [e <= rhs] (the expression's constant is
     moved to the right-hand side). *)

@@ -19,6 +19,7 @@ type t = {
   mutable greedy_lp_solves : int;
   mutable greedy_candidates : int;
   mutable greedy_accepted : int;
+  mutable greedy_warm_starts : int;
   mutable rounding_attempts : int;
   mutable rounding_candidates : int;
   mutable rounding_repairs : int;
@@ -54,6 +55,7 @@ let create () =
     greedy_lp_solves = 0;
     greedy_candidates = 0;
     greedy_accepted = 0;
+    greedy_warm_starts = 0;
     rounding_attempts = 0;
     rounding_candidates = 0;
     rounding_repairs = 0;
@@ -112,6 +114,8 @@ let fields =
            fun s v -> s.greedy_candidates <- v);
     Count ("greedy_accepted", (fun s -> s.greedy_accepted),
            fun s v -> s.greedy_accepted <- v);
+    Count ("greedy_warm_starts", (fun s -> s.greedy_warm_starts),
+           fun s v -> s.greedy_warm_starts <- v);
     Count ("rounding_attempts", (fun s -> s.rounding_attempts),
            fun s v -> s.rounding_attempts <- v);
     Count ("rounding_candidates", (fun s -> s.rounding_candidates),

@@ -36,6 +36,8 @@ type t = {
   mutable greedy_lp_solves : int;    (** feasibility LPs of the greedy *)
   mutable greedy_candidates : int;   (** candidate start times probed *)
   mutable greedy_accepted : int;     (** requests the greedy admitted *)
+  mutable greedy_warm_starts : int;  (** greedy LPs started from the last
+                                         accepted LP's mapped basis *)
   (* randomized rounding (LP-decomposition rung) *)
   mutable rounding_attempts : int;   (** rounding draws realized (first
                                          attempt + every repair retry) *)

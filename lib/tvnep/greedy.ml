@@ -69,9 +69,86 @@ let node_caps_ok inst active_sets =
       !ok)
     active_sets
 
+type row_key =
+  | Conserve of int * int * int  (* req, vlink, node *)
+  | Capacity of (float * float) * int  (* state, slink *)
+
+(* The optimal basis of the last accepted LP, keyed by what each column
+   and row means rather than by its index, so that the next candidate's LP
+   (the same participants plus one request, over a refinement of the same
+   states) can inherit it. *)
+type keyed_basis = {
+  col_stat : (int * int * int, Lp.Simplex.vstat) Hashtbl.t;
+      (* flow (req, vlink, slink) -> status *)
+  row_stat : (row_key, Lp.Simplex.vstat) Hashtbl.t;  (* logical status *)
+  old_states : (float * float) list;
+}
+
+let key_basis (b : Lp.Simplex.basis) ~col_keys ~row_keys states =
+  let n_struct = Array.length col_keys in
+  let col_stat = Hashtbl.create n_struct in
+  Array.iteri (fun j key -> Hashtbl.replace col_stat key b.stat.(j)) col_keys;
+  let row_stat = Hashtbl.create (Array.length row_keys) in
+  Array.iteri
+    (fun i key -> Hashtbl.replace row_stat key b.stat.(n_struct + i))
+    row_keys;
+  { col_stat; row_stat; old_states = states }
+
+(* Maps [kb] onto an LP with the given column and row keys: old flows keep
+   their status, new flows start at their lower bound; old conservation
+   rows keep their logical's status, new ones get a basic logical; a
+   capacity row whose state lies inside an old state inherits that old
+   row's status once, every other capacity row gets a basic logical.  The
+   result is block triangular over the old basis (nonsingular), and dual
+   feasible: the new rows carry zero duals, the old duals are unchanged,
+   and a new flow's reduced cost is 1 minus demand-weighted capacity
+   duals, which are <= 0.  [None] unless exactly one column per row ends
+   up basic. *)
+let map_basis kb ~col_keys ~row_keys =
+  let n_struct = Array.length col_keys and m = Array.length row_keys in
+  let stat =
+    Array.append
+      (Array.map
+         (fun key ->
+           Option.value (Hashtbl.find_opt kb.col_stat key)
+             ~default:Lp.Simplex.At_lower)
+         col_keys)
+      (Array.make m Lp.Simplex.Basic)
+  in
+  let inherited = Hashtbl.create 64 in
+  Array.iteri
+    (fun i key ->
+      let old_key =
+        match key with
+        | Conserve _ -> Some key
+        | Capacity ((lo, hi), ls) -> (
+          let inside (olo, ohi) = olo <= lo && hi <= ohi in
+          match List.find_opt inside kb.old_states with
+          | Some old_state
+            when not (Hashtbl.mem inherited (Capacity (old_state, ls))) ->
+            Some (Capacity (old_state, ls))
+          | Some _ | None -> None)
+      in
+      match old_key with
+      | Some k when Hashtbl.mem kb.row_stat k ->
+        stat.(n_struct + i) <- Hashtbl.find kb.row_stat k;
+        Hashtbl.replace inherited k ()
+      | Some _ | None -> ())
+    row_keys;
+  let basic =
+    List.filter
+      (fun j -> stat.(j) = Lp.Simplex.Basic)
+      (List.init (n_struct + m) Fun.id)
+  in
+  if List.length basic = m then
+    Some { Lp.Simplex.basic = Array.of_list basic; stat }
+  else None
+
 (* One feasibility LP: flows for all participating requests, per-state link
-   capacities.  Returns the flows per request on success. *)
-let try_schedule ?lp_params ?budget ?stats ?prof inst participants =
+   capacities.  Returns the flows per request on success, with the optimal
+   basis keyed for the next LP.  [?warm] is the keyed basis of the last
+   accepted LP; the solve starts from its mapping when that is complete. *)
+let try_schedule ?lp_params ?budget ?stats ?prof ?warm inst participants =
   (* participants: (req, start, end) with fixed times; all embedded. *)
   let sub = inst.Instance.substrate in
   let sgraph = Substrate.graph sub in
@@ -90,6 +167,7 @@ let try_schedule ?lp_params ?budget ?stats ?prof inst participants =
   if not (node_caps_ok inst active_sets) then None
   else begin
     let model = Lp.Model.create ~name:"greedy-lp" () in
+    let col_keys = ref [] and row_keys = ref [] in
     (* Flow variables and conservation per participating request. *)
     let flows = Hashtbl.create 16 in
     List.iter
@@ -103,6 +181,7 @@ let try_schedule ?lp_params ?budget ?stats ?prof inst participants =
         let x_e =
           Array.init (Request.num_vlinks r) (fun lv ->
               Array.init n_slinks (fun ls ->
+                  col_keys := (req, lv, ls) :: !col_keys;
                   Lp.Model.add_var model ~lb:0.0 ~ub:1.0
                     (Printf.sprintf "f_%d_%d_%d" req lv ls)))
         in
@@ -126,13 +205,14 @@ let try_schedule ?lp_params ?budget ?stats ?prof inst participants =
                 (if mapping.(lv.src) = s then 1.0 else 0.0)
                 -. (if mapping.(lv.dst) = s then 1.0 else 0.0)
               in
+              row_keys := Conserve (req, lv.id, s) :: !row_keys;
               Lp.Model.add_eq model balance rhs
             done)
           (Graphs.Digraph.edges r.Request.graph))
       participants;
     (* Per-state link capacity rows. *)
-    List.iter
-      (fun active ->
+    List.iter2
+      (fun state active ->
         for ls = 0 to n_slinks - 1 do
           let load =
             Lp.Expr.sum
@@ -146,10 +226,12 @@ let try_schedule ?lp_params ?budget ?stats ?prof inst participants =
                          ((x_e.(lv).(ls) : Lp.Model.var) :> int)))
                  active)
           in
-          if Lp.Expr.num_terms load > 0 then
+          if Lp.Expr.num_terms load > 0 then begin
+            row_keys := Capacity (state, ls) :: !row_keys;
             Lp.Model.add_le model load (Substrate.link_cap sub ls)
+          end
         done)
-      active_sets;
+      states active_sets;
     (* Minimize total flow: short, clean routings. *)
     let total =
       Hashtbl.fold
@@ -164,8 +246,26 @@ let try_schedule ?lp_params ?budget ?stats ?prof inst participants =
         flows Lp.Expr.zero
     in
     Lp.Model.set_objective model Lp.Model.Minimize total;
+    let col_keys = Array.of_list (List.rev !col_keys)
+    and row_keys = Array.of_list (List.rev !row_keys) in
+    let sf = Lp.Std_form.of_model model in
+    let solve warm =
+      Lp.Simplex.solve ?params:lp_params ?budget ?stats ?prof ?warm sf
+    in
     let result =
-      Lp.Simplex.solve_model ?params:lp_params ?budget ?stats ?prof model
+      match Option.bind warm (fun kb -> map_basis kb ~col_keys ~row_keys) with
+      | None -> solve None
+      | Some basis -> (
+        Option.iter
+          (fun st ->
+            st.Rstats.greedy_warm_starts <- st.Rstats.greedy_warm_starts + 1)
+          stats;
+        match solve (Some basis) with
+        | { Lp.Simplex.status = Lp.Simplex.Numerical_failure; _ } ->
+          (* Feasibility does not depend on the start; a start the dual
+             simplex could not repair gets the cold chain's answer. *)
+          solve None
+        | r -> r)
     in
     match result.Lp.Simplex.status with
     | Lp.Simplex.Optimal ->
@@ -181,7 +281,12 @@ let try_schedule ?lp_params ?budget ?stats ?prof inst participants =
               x_e.(lv);
             List.rev !acc)
       in
-      Some (fun req -> extract req)
+      let keyed =
+        Option.map
+          (fun b -> key_basis b ~col_keys ~row_keys states)
+          result.Lp.Simplex.final_basis
+      in
+      Some (extract, keyed)
     | Lp.Simplex.Infeasible -> None
     | Lp.Simplex.Unbounded | Lp.Simplex.Iter_limit | Lp.Simplex.Time_limit
     | Lp.Simplex.Numerical_failure ->
@@ -206,6 +311,9 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
   in
   let lp_solves = ref 0 and candidates_tried = ref 0 in
   let accepted : accepted list ref = ref [] in
+  (* Optimal basis of the last accepted LP: every later candidate LP
+     warm-starts from it. *)
+  let last_basis = ref None in
   (* Install the pre-placed requests (validated, flows solved jointly). *)
   if preplaced <> [] then begin
     List.iter
@@ -232,7 +340,8 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
     match
       try_schedule ?lp_params ~budget ~stats:rstats ?prof inst participants
     with
-    | Some flows_of ->
+    | Some (flows_of, keyed) ->
+      last_basis := keyed;
       accepted :=
         List.map
           (fun (req, start, stop) ->
@@ -263,11 +372,12 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
             incr lp_solves;
             rstats.Rstats.greedy_lp_solves <- rstats.Rstats.greedy_lp_solves + 1;
             match
-              try_schedule ?lp_params ~budget ~stats:rstats ?prof inst
-                participants
+              try_schedule ?lp_params ~budget ~stats:rstats ?prof
+                ?warm:!last_basis inst participants
             with
-            | Some flows_of ->
+            | Some (flows_of, keyed) ->
               placed := true;
+              last_basis := keyed;
               (* Link allocations of previously accepted requests are
                  recomputed (the paper does the same every iteration). *)
               List.iter (fun a -> a.a_flows <- flows_of a.a_req) !accepted;

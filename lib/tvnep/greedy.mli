@@ -13,7 +13,15 @@
     re-optimizes the link flows of {e all} accepted requests together with
     the candidate (the paper likewise recomputes link allocations every
     iteration).  This matches the paper's polynomial-time argument:
-    O(|R|) candidates per request, one polynomial LP each. *)
+    O(|R|) candidates per request, one polynomial LP each.
+
+    The LP chain is incremental: each candidate's LP starts from the
+    optimal basis of the last accepted LP, mapped onto it by column and
+    row meaning (flow, conservation row, capacity row of a state).  That
+    basis is nonsingular and dual feasible, so the dual simplex only
+    repairs the new request's rows.  LP feasibility does not depend on
+    the starting basis, so the decisions are those of the cold chain;
+    only the flows chosen among degenerate optima differ. *)
 
 type stats = {
   lp_solves : int;       (** feasibility LPs attempted *)
@@ -35,7 +43,8 @@ val run :
     against it and [runtime] is measured as an elapsed delta on its clock,
     so greedy time composes with any exact search run on the same budget.
     [?stats] accumulates [greedy_lp_solves] / [greedy_candidates] /
-    [greedy_accepted] / [greedy_time] (plus the usual simplex counters)
+    [greedy_accepted] / [greedy_warm_starts] / [greedy_time] (plus the
+    usual simplex counters)
     into the caller's record; [?prof] records one ["lp"] span (with its
     category leaves) per probe LP.
 

@@ -69,32 +69,38 @@ let bottleneck_instance () =
 
 let lp_column_tests =
   [
-    Alcotest.test_case "Model.add_column == Std_form.append_columns" `Quick
+    Alcotest.test_case "append_columns == column built in" `Quick
       (fun () ->
         (* max x + 2y st x + y <= 4, x <= 3 — then add z with obj 3,
-           entries in both rows.  Route one copy through the model-level
-           splice and one through the standard-form splice: identical
-           optima. *)
-        let build () =
+           entries in both rows.  Splice z into the compiled form of the
+           model without it, and compare with the model that has z from
+           the start: identical optima. *)
+        let build ~with_z =
           let m = Lp.Model.create ~name:"cols" () in
           let x = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 "x" in
           let y = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 "y" in
+          let z =
+            if with_z then Some (Lp.Model.add_var m ~lb:0.0 ~ub:10.0 "z")
+            else None
+          in
+          let plus_z c e =
+            match z with
+            | Some z -> Lp.Expr.add_term e (z :> int) c
+            | None -> e
+          in
           Lp.Model.add_le m
-            (Lp.Expr.add (Lp.Expr.var (x :> int)) (Lp.Expr.var (y :> int)))
+            (plus_z 1.0
+               (Lp.Expr.add (Lp.Expr.var (x :> int)) (Lp.Expr.var (y :> int))))
             4.0;
-          Lp.Model.add_le m (Lp.Expr.var (x :> int)) 3.0;
+          Lp.Model.add_le m (plus_z 1.0 (Lp.Expr.var (x :> int))) 3.0;
           Lp.Model.set_objective m Lp.Model.Maximize
-            (Lp.Expr.add (Lp.Expr.var (x :> int))
-               (Lp.Expr.scale 2.0 (Lp.Expr.var (y :> int))));
+            (plus_z 3.0
+               (Lp.Expr.add (Lp.Expr.var (x :> int))
+                  (Lp.Expr.scale 2.0 (Lp.Expr.var (y :> int)))));
           m
         in
-        let via_model = build () in
-        let _z =
-          Lp.Model.add_column via_model ~lb:0.0 ~ub:10.0 ~obj:3.0 "z"
-            [ (0, 1.0); (1, 1.0) ]
-        in
-        let a = Lp.Simplex.solve_model via_model in
-        let sf = Lp.Std_form.of_model (build ()) in
+        let a = Lp.Simplex.solve_model (build ~with_z:true) in
+        let sf = Lp.Std_form.of_model (build ~with_z:false) in
         let sf =
           Lp.Std_form.append_columns sf
             [
@@ -112,7 +118,8 @@ let lp_column_tests =
           "objective" a.Lp.Simplex.objective b.Lp.Simplex.objective;
         (* z enters both rows: z = 3 binds the second row, leaving y = 1
            in the first — objective 3·3 + 2·1 = 11. *)
-        Alcotest.(check (float 1e-9)) "value" 11.0 a.Lp.Simplex.objective);
+        Alcotest.(check (float 1e-9)) "value" 11.0 b.Lp.Simplex.objective;
+        Alcotest.(check (float 1e-9)) "z" 3.0 b.Lp.Simplex.x.(2));
     Alcotest.test_case "session splice reuses the basis" `Quick (fun () ->
         let m = Lp.Model.create ~name:"warm" () in
         let x = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 "x" in

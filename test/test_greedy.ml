@@ -141,4 +141,91 @@ let properties =
              (Array.init (Tvnep.Instance.num_requests inst) (fun i -> i))));
   ]
 
-let suite = [ ("tvnep.greedy", unit_tests @ properties) ]
+(* The warm-started chain against the cold reference chain: same accepted
+   requests at the same times, both validator-clean.  Half of the
+   instances pre-place the first two requests the reference accepted. *)
+let equivalence_tests =
+  let check_instance ~preplace inst =
+    let preplaced =
+      if not preplace then []
+      else
+        fst (Greedy_reference.run inst)
+        |> List.filteri (fun i _ -> i < 2)
+        |> List.map (fun (req, s, _) -> (req, s))
+    in
+    let ref_placed, ref_sol = Greedy_reference.run ~preplaced inst in
+    let sol, _ = Tvnep.Greedy.run ~preplaced inst in
+    let times (s : Tvnep.Solution.t) =
+      Array.to_list s.Tvnep.Solution.assignments
+      |> List.mapi (fun i (a : Tvnep.Solution.assignment) ->
+             (i, a.Tvnep.Solution.accepted, a.Tvnep.Solution.t_start,
+              a.Tvnep.Solution.t_end))
+      |> List.filter (fun (_, acc, _, _) -> acc)
+    in
+    Alcotest.(check (list (pair int (pair (float 0.0) (float 0.0)))))
+      "accepted set and times"
+      (List.sort compare
+         (List.map (fun (req, s, e) -> (req, (s, e))) ref_placed))
+      (List.map (fun (i, _, s, e) -> (i, (s, e))) (times sol));
+    Alcotest.(check int) "reference agrees with its own solution"
+      (List.length ref_placed) (Tvnep.Solution.num_accepted ref_sol);
+    Alcotest.(check bool) "warm chain validator-clean" true
+      (Tvnep.Validator.is_feasible inst sol);
+    Alcotest.(check bool) "cold chain validator-clean" true
+      (Tvnep.Validator.is_feasible inst ref_sol)
+  in
+  let paper_grid k seed =
+    let rng = Workload.Rng.create seed in
+    Tvnep.Scenario.generate rng
+      { Tvnep.Scenario.paper with num_requests = k; flexibility = 1.0 }
+  in
+  [
+    Alcotest.test_case "warm chain decides like the cold chain (scaled)"
+      `Quick (fun () ->
+        for seed = 1 to 30 do
+          let inst = scenario ~k:7 ~flex:1.5 (Int64.of_int (1000 + seed)) in
+          check_instance ~preplace:(seed mod 2 = 0) inst
+        done);
+    Alcotest.test_case "warm chain decides like the cold chain (paper grid)"
+      `Quick (fun () ->
+        for seed = 1 to 20 do
+          let inst = paper_grid 8 (Int64.of_int (2000 + seed)) in
+          check_instance ~preplace:(seed mod 2 = 0) inst
+        done);
+    Alcotest.test_case "every LP after the first warm-starts" `Quick
+      (fun () ->
+        let g = Graphs.Generators.grid ~rows:2 ~cols:2 in
+        let substrate =
+          Tvnep.Substrate.uniform g ~node_cap:100.0 ~link_cap:100.0
+        in
+        let rg =
+          Graphs.Generators.star ~leaves:1
+            ~orientation:Graphs.Generators.From_center
+        in
+        let mk name start =
+          Tvnep.Request.make ~name ~graph:rg ~node_demand:[| 1.0; 1.0 |]
+            ~link_demand:[| 1.0 |] ~duration:1.0 ~start_min:start
+            ~end_max:(start +. 2.0)
+        in
+        let inst n =
+          Tvnep.Instance.make
+            ~node_mappings:(Array.sub [| [| 0; 1 |]; [| 2; 3 |]; [| 0; 3 |] |] 0 n)
+            ~substrate
+            ~requests:(Array.sub [| mk "a" 0.0; mk "b" 0.3; mk "c" 0.6 |] 0 n)
+            ~horizon:3.0 ()
+        in
+        let counters n =
+          let stats = Runtime.Stats.create () in
+          ignore (Tvnep.Greedy.run ~stats (inst n));
+          (stats.Runtime.Stats.greedy_lp_solves,
+           stats.Runtime.Stats.greedy_warm_starts)
+        in
+        let lps, warm = counters 3 in
+        Alcotest.(check int) "three LPs" 3 lps;
+        Alcotest.(check int) "warm starts = LPs - 1" (lps - 1) warm;
+        Alcotest.(check (pair int int)) "single-LP greedy starts cold" (1, 0)
+          (counters 1));
+  ]
+
+let suite =
+  [ ("tvnep.greedy", unit_tests @ properties @ equivalence_tests) ]

@@ -30,6 +30,105 @@ let expr_tests =
           (fun () -> ignore (Lp.Expr.var (-1))));
   ]
 
+(* Random Expr programs against a naive association-list reference that
+   re-filters every near-zero coefficient after each operation.  Small
+   variable ids force collisions; the coefficient pool cancels exactly
+   (1 - 1), to within the tolerance (0.1 + 0.2 - 0.3) and not at all. *)
+type expr_op =
+  | Op_var of int * float
+  | Op_add_term of int * int * float  (* pool index, var, coeff *)
+  | Op_add of int * int
+  | Op_sub of int * int
+  | Op_scale of float * int
+  | Op_sum of int list
+  | Op_of_terms of (int * float) list
+
+let expr_program_gen =
+  let open QCheck2.Gen in
+  let coeff =
+    oneofl [ 1.0; -1.0; 2.0; -2.0; 0.5; 0.1; 0.2; -0.3; 1e-10; -1e-10; 3.0 ]
+  in
+  let factor = oneofl [ 0.0; -1.0; 2.0; 0.5; 1e-5; 1e-12; 3.0 ] in
+  let var = int_bound 5 and idx = int_bound 1000 in
+  list_size (int_range 1 40)
+    (oneof
+       [
+         map2 (fun v c -> Op_var (v, c)) var coeff;
+         map3 (fun i v c -> Op_add_term (i, v, c)) idx var coeff;
+         map2 (fun a b -> Op_add (a, b)) idx idx;
+         map2 (fun a b -> Op_sub (a, b)) idx idx;
+         map2 (fun s i -> Op_scale (s, i)) factor idx;
+         map (fun is -> Op_sum is) (list_size (int_bound 4) idx);
+         map (fun ts -> Op_of_terms ts) (list_size (int_bound 6) (pair var coeff));
+       ])
+
+module Naive = struct
+  let clean = List.filter (fun (_, c) -> not (Lina.Tol.is_zero c))
+
+  let add_term e v c =
+    clean
+      (match List.assoc_opt v e with
+       | None -> e @ [ (v, c) ]
+       | Some c0 -> List.map (fun (w, d) -> if w = v then (w, c0 +. c) else (w, d)) e)
+
+  let add a b =
+    clean
+      (List.map
+         (fun (v, c) ->
+           match List.assoc_opt v b with Some c2 -> (v, c +. c2) | None -> (v, c))
+         a
+      @ List.filter (fun (v, _) -> not (List.mem_assoc v a)) b)
+
+  let scale s e =
+    if Lina.Tol.is_zero s then [] else clean (List.map (fun (v, c) -> (v, s *. c)) e)
+
+  let terms e = List.sort compare e
+end
+
+let expr_program_agrees ops =
+  let pool = ref [ (Lp.Expr.zero, []) ] in
+  let pick i = List.nth !pool (i mod List.length !pool) in
+  List.iter
+    (fun op ->
+      let next =
+        match op with
+        | Op_var (v, c) -> (Lp.Expr.var ~coeff:c v, Naive.clean [ (v, c) ])
+        | Op_add_term (i, v, c) ->
+          let e, n = pick i in
+          (Lp.Expr.add_term e v c, Naive.add_term n v c)
+        | Op_add (a, b) ->
+          let ea, na = pick a and eb, nb = pick b in
+          (Lp.Expr.add ea eb, Naive.add na nb)
+        | Op_sub (a, b) ->
+          let ea, na = pick a and eb, nb = pick b in
+          (Lp.Expr.sub ea eb, Naive.add na (Naive.scale (-1.0) nb))
+        | Op_scale (s, i) ->
+          let e, n = pick i in
+          (Lp.Expr.scale s e, Naive.scale s n)
+        | Op_sum is ->
+          let es = List.map pick is in
+          ( Lp.Expr.sum (List.map fst es),
+            List.fold_left Naive.add [] (List.map snd es) )
+        | Op_of_terms ts ->
+          (Lp.Expr.of_terms ts, List.fold_left (fun n (v, c) -> Naive.add_term n v c) [] ts)
+      in
+      pool := !pool @ [ next ])
+    ops;
+  List.for_all
+    (fun (e, n) ->
+      let ts = Lp.Expr.terms e in
+      ts = Naive.terms n
+      && List.for_all (fun (_, c) -> Float.abs c > Lina.Tol.eps) ts
+      && Lp.Expr.num_terms e = List.length ts)
+    !pool
+
+let expr_properties =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"matches a naive reference, no near-zero terms"
+         ~count:300 expr_program_gen expr_program_agrees);
+  ]
+
 let model_tests =
   [
     Alcotest.test_case "bounds and kinds" `Quick (fun () ->
@@ -634,7 +733,7 @@ let certificate_properties =
 
 let suite =
   [
-    ("lp.expr", expr_tests);
+    ("lp.expr", expr_tests @ expr_properties);
     ("lp.model", model_tests);
     ("lp.simplex", simplex_tests @ simplex_properties);
     ("lp.session", session_tests @ session_properties);
