@@ -1,5 +1,5 @@
 .PHONY: all build test bench-smoke bench-micro bench-bnb bench-service \
-	bench-profile bench-colgen doc check loc clean
+	bench-profile bench-colgen bench-diff doc check loc clean
 
 all: build
 
@@ -67,6 +67,14 @@ bench-profile: build
 bench-colgen: build
 	dune exec bench/main.exe -- --no-figures --no-ablations --no-micro \
 	  --no-bnb --no-service --no-profile
+
+# Names every deterministic field of the BENCH_*.json files that moved
+# against the committed copies (git HEAD), ignoring only the run-to-run
+# measurements (host, wall_s, gc_minor_words, *_us keys); exits nonzero
+# when any other field moved.  Run it after regenerating the files, e.g.
+# after `make check`; it is not part of `make check` itself.
+bench-diff:
+	dune exec bench/bench_diff.exe
 
 # API documentation via odoc, when the toolchain has it; a clean skip
 # otherwise (the docs below are the odoc comments in the .mli files).

@@ -12,22 +12,14 @@ module Json = Statsutil.Json
 
 type rung = Exact | Rounded | Greedy | Budget | Priced | Migrated
 
-let rung_to_string = function
-  | Exact -> "exact"
-  | Rounded -> "rounded"
-  | Greedy -> "greedy"
-  | Budget -> "budget"
-  | Priced -> "priced"
-  | Migrated -> "migrated"
+let rung_names =
+  [ (Exact, "exact"); (Rounded, "rounded"); (Greedy, "greedy");
+    (Budget, "budget"); (Priced, "priced"); (Migrated, "migrated") ]
 
-let rung_of_string = function
-  | "exact" -> Some Exact
-  | "rounded" -> Some Rounded
-  | "greedy" -> Some Greedy
-  | "budget" -> Some Budget
-  | "priced" -> Some Priced
-  | "migrated" -> Some Migrated
-  | _ -> None
+let rung_to_string r = List.assoc r rung_names
+
+let rung_of_string s =
+  List.find_map (fun (r, n) -> if n = s then Some r else None) rung_names
 
 type record = {
   request : int;
@@ -149,10 +141,10 @@ end
    the committed state.  [p_solution] is the full proposed committed
    state on the original instance (snapshot assignments with the
    participants' re-optimized flows and the arrival's schedule), already
-   validated — applying it is a plain array replacement.  [p_moved] lists
-   the committed requests whose start the proposal migrates. *)
+   validated — applying it is a plain array replacement; [None] denies.
+   [p_moved] lists the committed requests whose start the proposal
+   migrates. *)
 type proposal = {
-  p_admit : bool;
   p_rung : rung;
   p_exact : Solver.status option;
   p_greedy : Solver.status option;
@@ -162,21 +154,46 @@ type proposal = {
   p_stats : Runtime.Stats.t;
 }
 
-let deny ~pstats ?exact ?greedy ?(priced_cost = nan) rung =
+let propose ~pstats ?exact ?greedy ?solution ?(priced_cost = nan)
+    ?(moved = []) rung =
   {
-    p_admit = false;
     p_rung = rung;
     p_exact = exact;
     p_greedy = greedy;
-    p_solution = None;
+    p_solution = solution;
     p_priced_cost = priced_cost;
-    p_moved = [];
+    p_moved = moved;
     p_stats = pstats;
   }
 
 let rec take k acc = function
   | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
   | rest -> (List.rev acc, rest)
+
+(* What one rung's run concluded. *)
+type result =
+  | Admits of { sol : Solution.t; moved : int list; proven : bool }
+      (* an evaluation solution admitting the arrival, and the committed
+         requests it migrates; [proven]: should the validator reject the
+         solution, the rung has still proved the denial *)
+  | Proves  (* a proven denial, recorded at the rung *)
+  | Passes  (* inconclusive: the verdict so far stands *)
+
+(* The verdict of the chain so far. *)
+type verdict =
+  | Open                 (* no rung has concluded *)
+  | Denied of rung       (* a denial a later rung may still overturn *)
+  | Decided of proposal  (* admitted, or denied at [Priced]: final *)
+
+(* One rung of the degradation chain.  [applies] is checked against the
+   verdict so far, just before the rung would run; [run] runs inside a
+   [label] span. *)
+type step = {
+  rung : rung;  (* recorded when this rung concludes *)
+  label : string;
+  applies : verdict -> bool;
+  run : unit -> result;
+}
 
 (* Evaluate one arrival against the committed snapshot on a private
    budget fork.  Pure speculation: no shared state is written, so batch
@@ -186,6 +203,8 @@ let rec take k acc = function
 let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
     committed req ~now ~prices ~fork ~fprof =
   let pstats = Rstats.create () in
+  (* Outcomes of the exact and greedy rungs, when they ran. *)
+  let exact = ref None and greedy = ref None in
   Span.with_ fprof fork "arrival" @@ fun () ->
   try
     let r = Instance.request inst req in
@@ -216,11 +235,12 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
       Array.of_list
         (List.map (fun i -> Option.get (Instance.node_mapping inst i)) idxs)
     in
-    let ev =
+    let evaluation requests =
       Instance.with_requests inst
-        (Array.of_list (List.map narrowed idxs))
+        (Array.of_list (List.map requests idxs))
         ~node_mappings:mappings ()
     in
+    let ev = evaluation narrowed in
     let cand_pos = List.length committed in
     let pinned =
       List.mapi (fun pos i -> (pos, assignments.(i).Solution.t_start)) committed
@@ -240,32 +260,37 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
       let s = { Solution.assignments = out; objective = 0.0 } in
       { s with Solution.objective = Solution.access_control_value inst s }
     in
-    (* Admission gate: the proposed full state must pass the independent
-       validator before it may commit. *)
-    let gate (sol : Solution.t) =
-      if sol.Solution.assignments.(cand_pos).Solution.accepted then begin
-        let lifted = lift sol in
-        Span.with_ fprof fork "validate" @@ fun () ->
-        match Validator.check inst lifted with
-        | Ok () -> Some lifted
-        | Error _ -> None
-      end
-      else None
-    in
-    (* Pricing gate: revenue must cover the priced cost of the admitted
+    (* The admission tail of every rung.  The proposed full state must
+       pass the independent validator before it may commit — [None]
+       otherwise, and the rung's own verdict stands.  With the pricing
+       policy on, revenue must then cover the priced cost of the admitted
        assignment, else the arrival is denied at the [Priced] rung. *)
-    let price_check (lifted : Solution.t) =
-      match prices with
-      | None -> Ok nan
-      | Some pr ->
+    let conclude ~rung ~moved sol =
+      let lifted = lift sol in
+      match
+        Span.with_ fprof fork "validate" @@ fun () ->
+        Validator.check inst lifted
+      with
+      | Error _ -> None
+      | Ok () ->
+        let exact = !exact and greedy = !greedy in
         let cost =
-          Pricing.assignment_cost pr inst req
-            lifted.Solution.assignments.(req)
+          match prices with
+          | None -> nan
+          | Some pr ->
+            Pricing.assignment_cost pr inst req
+              lifted.Solution.assignments.(req)
         in
         let revenue = r.Request.duration *. Request.total_node_demand r in
-        if revenue +. 1e-9 < cost then Error cost else Ok cost
+        Some
+          (if revenue +. 1e-9 < cost then
+             propose ~pstats ?exact ?greedy ~priced_cost:cost Priced
+           else
+             propose ~pstats ?exact ?greedy ~solution:lifted ~priced_cost:cost
+               ~moved rung)
     in
-    (* Every rung's search runs single-domain on its own sub-budget. *)
+    (* Every rung's search runs single-domain on its own sub-budget and
+       bills its counters to the arrival. *)
     let mip =
       {
         cfg.Config.mip with
@@ -274,244 +299,206 @@ let evaluate (cfg : Config.t) inst (assignments : Solution.assignment array)
         log_every = 0;
       }
     in
-    let admit ~rung ?exact ?greedy ?(moved = []) lifted cost =
-      {
-        p_admit = true;
-        p_rung = rung;
-        p_exact = exact;
-        p_greedy = greedy;
-        p_solution = Some lifted;
-        p_priced_cost = cost;
-        p_moved = moved;
-        p_stats = pstats;
-      }
+    let solve ?(inst = ev) ?(pinned = pinned) ?forced ?objective ?rounding
+        ~method_ ~budget () =
+      let o =
+        Solver.run inst
+          (Solver.Options.make ~method_ ~kind:cfg.Config.kind
+             ~use_cuts:cfg.Config.use_cuts
+             ~pairwise_cuts:cfg.Config.pairwise_cuts ~mip ~budget ~pinned
+             ?forced ?objective ?rounding ?prof:fprof ())
+      in
+      Rstats.merge ~into:pstats o.Solver.stats;
+      o
     in
-    (* Reconfiguration rung: a bounded set of committed requests that have
-       not started yet ([t⁺ > now]) gets its windows re-opened and its
-       acceptance forced, the candidate stays free, and the objective
-       charges [move_cost] per unit of schedule displacement — an
-       admission enabled by migrations must pay for them in-model.  Only
-       attempted on a {e proven} denial of the pinned solve. *)
-    let attempt_reconfigure ~exact () =
-      if
-        (not cfg.Config.reconfigure)
-        || cfg.Config.reconfigure_limit = 0
-        || B.remaining fork <= 0.0
-      then None
-      else begin
-        let movable =
-          List.filter
-            (fun i -> assignments.(i).Solution.t_start > now +. 1e-9)
-            committed
-        in
-        let movable =
-          List.sort
-            (fun a b ->
-              compare
-                (assignments.(a).Solution.t_start, a)
-                (assignments.(b).Solution.t_start, b))
-            movable
-        in
-        let movable, _ = take cfg.Config.reconfigure_limit [] movable in
-        if movable = [] then None
-        else begin
-          let widened i =
-            if List.mem i movable then clipped (Instance.request inst i)
-            else narrowed i
-          in
-          let ev2 =
-            Instance.with_requests inst
-              (Array.of_list (List.map widened idxs))
-              ~node_mappings:mappings ()
-          in
-          let forced = ref [] and pinned2 = ref [] and reference = ref [] in
-          List.iteri
-            (fun pos i ->
-              if i <> req then
-                if List.mem i movable then begin
-                  forced := pos :: !forced;
-                  reference :=
-                    (pos, assignments.(i).Solution.t_start) :: !reference
-                end
-                else
-                  pinned2 := (pos, assignments.(i).Solution.t_start) :: !pinned2)
-            idxs;
-          let rbudget =
-            B.sub
-              ~time_limit:
-                (cfg.Config.exact_fraction *. Float.max 0.0 (B.remaining fork))
-              fork
-          in
-          let ro =
-            Span.with_ fprof fork "reconfigure" @@ fun () ->
-            Solver.run ev2
-              (Solver.Options.make ~method_:Solver.Exact
-                 ~kind:cfg.Config.kind ~use_cuts:cfg.Config.use_cuts
-                 ~pairwise_cuts:cfg.Config.pairwise_cuts ~mip ~budget:rbudget
-                 ~pinned:(List.rev !pinned2) ~forced:(List.rev !forced)
-                 ~objective:
-                   (Objective.Access_with_move_cost
-                      {
-                        weight = cfg.Config.move_cost;
-                        reference = List.rev !reference;
-                      })
-                 ?prof:fprof ())
-          in
-          Rstats.merge ~into:pstats ro.Solver.stats;
-          match (ro.Solver.status, ro.Solver.solution) with
-          | (Solver.Optimal | Solver.Feasible), Some sol -> (
-            match gate sol with
-            | Some lifted -> (
-              let moved =
-                List.filter
-                  (fun i ->
-                    Float.abs
-                      (lifted.Solution.assignments.(i).Solution.t_start
-                      -. assignments.(i).Solution.t_start)
-                    > 1e-9)
-                  movable
-              in
-              match price_check lifted with
-              | Ok cost ->
-                Some (admit ~rung:Migrated ?exact ~moved lifted cost)
-              | Error cost ->
-                Some (deny ~pstats ?exact ~priced_cost:cost Priced))
-            | None -> None)
-          | _ -> None
-        end
-      end
-    in
-    (* Randomized-rounding rung: solve the cΣ LP relaxation of the pinned
-       evaluation instance, decompose it into a convex combination of
-       integral schedules, and round with bounded repair
-       ([Solver.Rounded]).  Runs between exact and greedy when the exact
-       rung was inconclusive.  The rounding seed is a function of the
-       request index alone — independent of batch shape or worker
-       domain, so decisions stay jobs-invariant.  The rung gets half of
-       whatever remains of the slice, leaving the other half for the
-       greedy fallback when rounding produces nothing. *)
-    let attempt_rounded ~exact () =
-      if (not cfg.Config.rounding) || B.remaining fork <= 0.0 then None
-      else begin
-        let rbudget =
-          B.sub ~time_limit:(0.5 *. Float.max 0.0 (B.remaining fork)) fork
-        in
-        let rounding =
-          {
-            Tvnep.Rounding.default_params with
-            seed = Int64.of_int (0x5eed1 + req);
-          }
-        in
-        match
-          Span.with_ fprof fork "rounded" @@ fun () ->
-          Solver.run ev
-            (Solver.Options.make ~method_:Solver.Rounded ~kind:cfg.Config.kind
-               ~use_cuts:cfg.Config.use_cuts
-               ~pairwise_cuts:cfg.Config.pairwise_cuts ~mip ~budget:rbudget
-               ~pinned ~rounding ?prof:fprof ())
-        with
-        | exception Invalid_argument _ -> None
-        | ro -> (
-          Rstats.merge ~into:pstats ro.Solver.stats;
-          if ro.Solver.status = Solver.Infeasible then
-            (* The LP relaxation of the pinned instance is infeasible, so
-               no completion can admit the arrival: a proven denial,
-               cheaper than the exact rung's. *)
-            Some (deny ~pstats ?exact Rounded)
-          else
-            match Option.bind ro.Solver.solution gate with
-            | Some lifted -> (
-              match price_check lifted with
-              | Ok cost -> Some (admit ~rung:Rounded ?exact lifted cost)
-              | Error cost ->
-                Some (deny ~pstats ?exact ~priced_cost:cost Priced))
-            | None -> None)
-      end
-    in
-    (* Rung 1: exact branch-and-bound on a fraction of the slice. *)
-    let exact_budget =
-      B.sub ~time_limit:(cfg.Config.exact_fraction *. cfg.Config.slice) fork
-    in
-    let xo =
-      Span.with_ fprof fork "exact" @@ fun () ->
-      Solver.run ev
-        (Solver.Options.make ~method_:Solver.Exact ~kind:cfg.Config.kind
-           ~use_cuts:cfg.Config.use_cuts
-           ~pairwise_cuts:cfg.Config.pairwise_cuts ~mip ~budget:exact_budget
-           ~pinned ?prof:fprof ())
-    in
-    Rstats.merge ~into:pstats xo.Solver.stats;
-    let exact = Some xo.Solver.status in
-    let exact_admission =
-      match (xo.Solver.status, xo.Solver.solution) with
-      | (Solver.Optimal | Solver.Feasible), Some sol -> gate sol
+    let found (o : Solver.outcome) =
+      match o.Solver.status with
+      | Solver.Optimal | Solver.Feasible -> o.Solver.solution
       | _ -> None
     in
-    match exact_admission with
-    | Some lifted -> (
-      match price_check lifted with
-      | Ok cost -> admit ~rung:Exact ?exact lifted cost
-      | Error cost -> deny ~pstats ?exact ~priced_cost:cost Priced)
-    | None ->
-      if
-        (* A proved optimum that rejects the arrival is a proven denial:
-           with every committed request pinned, the objective differs
-           from "admit the arrival" only in the arrival's own term.  A
-           re-embedding of not-yet-started commitments may still flip it
-           — the reconfiguration rung's job. *)
-        xo.Solver.status = Solver.Optimal
-      then
-        match attempt_reconfigure ~exact () with
-        | Some p -> p
-        | None -> deny ~pstats ?exact Exact
-      else begin
-        (* Between exact and greedy: the randomized-rounding rung (when
-           configured) gets the first shot at an inconclusive exact
-           outcome; its failures fall through to the heuristic. *)
-        match attempt_rounded ~exact () with
-        | Some p -> p
-        | None ->
-          if B.remaining fork <= 0.0 then
-            (* Slice gone before the fallback could run. *)
-            deny ~pstats ?exact Budget
-          else begin
-            (* Greedy fallback on the rest of the slice.  The heuristic
-               raises when even the committed preplacements cannot be
-               re-established — with a validator-gated committed state
-               that only happens when the slice dies under its
-               feasibility LP, so treat it as budget exhaustion. *)
-            match
-              Span.with_ fprof fork "greedy" @@ fun () ->
-              Solver.run ev
-                (Solver.Options.make ~method_:Solver.Greedy ~budget:fork
-                   ~pinned ?prof:fprof ())
-            with
+    let offer ?(moved = []) ~proven = function
+      | Some sol when sol.Solution.assignments.(cand_pos).Solution.accepted ->
+        Admits { sol; moved; proven }
+      | _ -> if proven then Proves else Passes
+    in
+    let live () = B.remaining fork > 0.0 in
+    let is_open = function Open -> true | Denied _ | Decided _ -> false in
+    (* Rung 1: exact branch-and-bound on a fraction of the slice.  A
+       proved optimum that rejects the arrival is a proven denial: with
+       every committed request pinned, the objective differs from "admit
+       the arrival" only in the arrival's own term.  A re-embedding of
+       not-yet-started commitments may still flip it — the
+       reconfiguration rung's job. *)
+    let exact_rung =
+      {
+        rung = Exact;
+        label = "exact";
+        applies = is_open;
+        run =
+          (fun () ->
+            let xo =
+              solve ~method_:Solver.Exact
+                ~budget:
+                  (B.sub
+                     ~time_limit:(cfg.Config.exact_fraction *. cfg.Config.slice)
+                     fork)
+                ()
+            in
+            exact := Some xo.Solver.status;
+            offer ~proven:(xo.Solver.status = Solver.Optimal) (found xo));
+      }
+    in
+    (* Reconfiguration rung, after a proven exact denial: a bounded set of
+       committed requests that have not started yet ([t⁺ > now]) gets its
+       windows re-opened and its acceptance forced, the candidate stays
+       free, and the objective charges [move_cost] per unit of schedule
+       displacement — an admission enabled by migrations must pay for
+       them in-model.  [movable] pairs each re-opened request with its
+       position in the evaluation instance. *)
+    let reconfigure_rung () =
+      let start i = assignments.(i).Solution.t_start in
+      let movable, _ =
+        List.mapi (fun pos i -> (pos, i)) committed
+        |> List.filter (fun (_, i) -> start i > now +. 1e-9)
+        |> List.sort (fun (_, a) (_, b) -> compare (start a, a) (start b, b))
+        |> take cfg.Config.reconfigure_limit []
+      in
+      {
+        rung = Migrated;
+        label = "reconfigure";
+        applies =
+          (function Denied Exact -> movable <> [] && live () | _ -> false);
+        run =
+          (fun () ->
+            let reopened, kept =
+              List.partition (fun (pos, _) -> List.mem_assoc pos movable) pinned
+            in
+            let widened i =
+              if List.exists (fun (_, j) -> j = i) movable then
+                clipped (Instance.request inst i)
+              else narrowed i
+            in
+            let ro =
+              solve ~inst:(evaluation widened) ~method_:Solver.Exact
+                ~budget:
+                  (B.sub
+                     ~time_limit:
+                       (cfg.Config.exact_fraction
+                       *. Float.max 0.0 (B.remaining fork))
+                     fork)
+                ~pinned:kept ~forced:(List.map fst reopened)
+                ~objective:
+                  (Objective.Access_with_move_cost
+                     { weight = cfg.Config.move_cost; reference = reopened })
+                ()
+            in
+            match found ro with
+            | Some sol ->
+              let moved =
+                List.filter_map
+                  (fun (pos, i) ->
+                    if
+                      Float.abs
+                        (sol.Solution.assignments.(pos).Solution.t_start
+                        -. start i)
+                      > 1e-9
+                    then Some i
+                    else None)
+                  movable
+              in
+              offer ~moved ~proven:false (Some sol)
+            | None -> Passes);
+      }
+    in
+    (* Randomized-rounding rung, on an inconclusive exact outcome: solve
+       the cΣ LP relaxation of the pinned evaluation instance, decompose
+       it into a convex combination of integral schedules, and round with
+       bounded repair ([Solver.Rounded]).  The rounding seed is a
+       function of the request index alone — independent of batch shape
+       or worker domain, so decisions stay jobs-invariant.  The rung gets
+       half of whatever remains of the slice, leaving the other half for
+       the greedy fallback when rounding produces nothing.  An infeasible
+       LP relaxation of the pinned instance means no completion can admit
+       the arrival: a proven denial, cheaper than the exact rung's. *)
+    let rounded_rung =
+      {
+        rung = Rounded;
+        label = "rounded";
+        applies = (fun v -> is_open v && live ());
+        run =
+          (fun () ->
+            let budget =
+              B.sub ~time_limit:(0.5 *. Float.max 0.0 (B.remaining fork)) fork
+            in
+            let rounding =
+              {
+                Tvnep.Rounding.default_params with
+                seed = Int64.of_int (0x5eed1 + req);
+              }
+            in
+            match solve ~method_:Solver.Rounded ~budget ~rounding () with
+            | exception Invalid_argument _ -> Passes
+            | ro when ro.Solver.status = Solver.Infeasible -> Proves
+            | ro -> offer ~proven:false ro.Solver.solution);
+      }
+    in
+    (* Greedy fallback on the rest of the slice.  The heuristic raises
+       when even the committed preplacements cannot be re-established —
+       with a validator-gated committed state that only happens when the
+       slice dies under its feasibility LP, so it counts as budget
+       exhaustion; a rejection by an exhausted scan proves nothing
+       either. *)
+    let greedy_rung =
+      {
+        rung = Greedy;
+        label = "greedy";
+        applies = (fun v -> is_open v && live ());
+        run =
+          (fun () ->
+            match solve ~method_:Solver.Greedy ~budget:fork () with
             | exception Invalid_argument _ ->
-              deny ~pstats ?exact ~greedy:Solver.Budget_exhausted Budget
-            | go -> (
-              Rstats.merge ~into:pstats go.Solver.stats;
-              let greedy = Some go.Solver.status in
-              match Option.bind go.Solver.solution gate with
-              | Some lifted -> (
-                match price_check lifted with
-                | Ok cost -> admit ~rung:Greedy ?exact ?greedy lifted cost
-                | Error cost ->
-                  deny ~pstats ?exact ?greedy ~priced_cost:cost Priced)
-              | None ->
-                (* Final rung: denial — by the heuristic's verdict, or
-                   because the slice died under it. *)
-                let rung =
-                  if go.Solver.status = Solver.Budget_exhausted then Budget
-                  else Greedy
-                in
-                deny ~pstats ?exact ?greedy rung)
-          end
-      end
+              greedy := Some Solver.Budget_exhausted;
+              Passes
+            | go ->
+              greedy := Some go.Solver.status;
+              offer
+                ~proven:(go.Solver.status <> Solver.Budget_exhausted)
+                go.Solver.solution);
+      }
+    in
+    let chain =
+      (exact_rung
+       :: (if cfg.Config.reconfigure && cfg.Config.reconfigure_limit > 0 then
+             [ reconfigure_rung () ]
+           else []))
+      @ (if cfg.Config.rounding then [ rounded_rung ] else [])
+      @ [ greedy_rung ]
+    in
+    let verdict =
+      List.fold_left
+        (fun verdict step ->
+          if not (step.applies verdict) then verdict
+          else
+            match Span.with_ fprof fork step.label step.run with
+            | Passes -> verdict
+            | Proves -> Denied step.rung
+            | Admits { sol; moved; proven } -> (
+              match conclude ~rung:step.rung ~moved sol with
+              | Some p -> Decided p
+              | None -> if proven then Denied step.rung else verdict))
+        Open chain
+    in
+    match verdict with
+    | Decided p -> p
+    | Denied rung -> propose ~pstats ?exact:!exact ?greedy:!greedy rung
+    | Open ->
+      (* No rung concluded before the slice ran out. *)
+      propose ~pstats ?exact:!exact ?greedy:!greedy Budget
   with _ ->
     (* Defensive: an unexpected solver failure denies the arrival instead
        of taking the whole stream down.  Deterministic — the same state
        fails the same way at any jobs level. *)
-    deny ~pstats ~greedy:Solver.Failed Greedy
+    propose ~pstats ~greedy:Solver.Failed Greedy
 
 (* Nearest-rank percentile of a sorted array. *)
 let percentile p sorted =
@@ -638,61 +625,75 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
     if config.Config.jobs > 1 then Some (Pool.create ~jobs:config.Config.jobs)
     else None
   in
-  let dead_proposal () = deny ~pstats:(Rstats.create ()) Budget in
+  let dead_proposal () = propose ~pstats:(Rstats.create ()) Budget in
+  (* One slice of the global budget per evaluation, speculative or
+     stale re-evaluation alike: a fork of [slice] seconds, a child span
+     recorder rebased to the fork's private clock, and the evaluation of
+     the arrival against [committed] on them, to run on any worker.
+     [settle] brings the slice home on the merging domain, in event
+     order: its spans are grafted onto the global timeline at the
+     pre-join tick count, its fork joins the global budget, and the
+     ticks billed to it are returned.  Forks are opened sequentially and
+     settled in event order, never read across, so every deadline, tick
+     stamp and decision is independent of which worker ran what — and
+     the merged trace tiles exactly and is identical at any jobs level,
+     up to the domain tags. *)
+  let open_slice ~committed ~prices (ev : Event.t) =
+    let fork = B.fork (B.sub ~time_limit:config.Config.slice global) in
+    let fprof =
+      Option.map
+        (fun _ -> Span.create ~base:(B.ticks fork) ())
+        config.Config.prof
+    in
+    let run ~worker =
+      Option.iter (fun r -> Span.set_domain r worker) fprof;
+      evaluate config inst assignments committed ev.Event.request
+        ~now:ev.Event.time ~prices ~fork ~fprof
+    in
+    ((fork, B.ticks fork, fprof), run)
+  in
+  let settle (fork, ticks0, fprof) =
+    (match (config.Config.prof, fprof) with
+    | Some into, Some child -> Span.graft ~into ~at:(B.ticks global) child
+    | _ -> ());
+    B.join ~into:global fork;
+    B.ticks fork - ticks0
+  in
   Fun.protect
     ~finally:(fun () -> match pool with Some p -> Pool.shutdown p | None -> ())
     (fun () ->
       let process_batch batch =
-        let snapshot_committed = !committed in
         let snapshot_version = !version in
-        let snapshot_prices = Option.map Pricing.copy price_state in
-        (* Fork one slice per arrival in the batch, sequentially, before
+        (* Open one slice per arrival in the batch, sequentially, before
            any evaluation: every fork snapshots the same batch-start
-           clock, so deadlines do not depend on scheduling.  Departures
-           carry no fork — they are merge-time state transitions. *)
+           clock and state.  Departures carry no slice — they are
+           merge-time state transitions. *)
+        let snapshot = !committed
+        and prices = Option.map Pricing.copy price_state in
         let tasks =
           Array.of_list
             (List.map
                (fun (ev : Event.t) ->
-                 if ev.Event.kind = Event.Departure then (ev, None)
-                 else if B.remaining global <= 0.0 then (ev, None)
-                 else
-                   let fork =
-                     B.fork (B.sub ~time_limit:config.Config.slice global)
-                   in
-                   (* One child recorder per slice, rebased to the fork's
-                      private clock; grafted back at merge time. *)
-                   let fprof =
-                     match config.Config.prof with
-                     | None -> None
-                     | Some _ -> Some (Span.create ~base:(B.ticks fork) ())
-                   in
-                   (ev, Some (fork, B.ticks fork, fprof)))
+                 if ev.Event.kind = Event.Departure || B.remaining global <= 0.0
+                 then (ev, None)
+                 else (ev, Some (open_slice ~committed:snapshot ~prices ev)))
                batch)
         in
-        let eval ~worker ((ev : Event.t), f) =
-          match f with
-          | None -> None
-          | Some (fork, _, fprof) ->
-            Option.iter (fun r -> Span.set_domain r worker) fprof;
-            Some
-              (evaluate config inst assignments snapshot_committed
-                 ev.Event.request ~now:ev.Event.time ~prices:snapshot_prices
-                 ~fork ~fprof)
+        let eval ~worker (_, slice) =
+          Option.map (fun (_, run) -> run ~worker) slice
         in
         let proposals =
           match pool with
-          | Some p when Array.length tasks > 1 ->
-            Pool.run p (fun ~worker t -> eval ~worker t) tasks
+          | Some p when Array.length tasks > 1 -> Pool.run p eval tasks
           | _ -> Array.map (eval ~worker:0) tasks
         in
         (* Deterministic merge in event order: release whatever departed
-           by each event's time, join each fork back into the global
-           budget, then commit or deny.  A speculative result computed
-           before an earlier commit or release changed the state is stale
-           — discard it and re-evaluate against the current state. *)
+           by each event's time, settle each slice, then commit or deny.
+           A speculative result computed before an earlier commit or
+           release changed the state is stale — discard it and
+           re-evaluate against the current state on a fresh slice. *)
         Array.iteri
-          (fun i ((ev : Event.t), f) ->
+          (fun i ((ev : Event.t), slice) ->
             let req = ev.Event.request in
             let r = Instance.request inst req in
             process_due ev.Event.time;
@@ -705,18 +706,10 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
               then release ~time:ev.Event.time req
             | Event.Arrival ->
               let proposal, ticks, reevaluated =
-                match f with
+                match slice with
                 | None -> (dead_proposal (), 0, false)
-                | Some (fork, ft0, fprof) ->
-                  (* Graft the slice's spans onto the global timeline at
-                     the pre-join tick count, so the merged trace tiles
-                     exactly and is identical at any jobs level. *)
-                  (match (config.Config.prof, fprof) with
-                  | Some into, Some child ->
-                    Span.graft ~into ~at:(B.ticks global) child
-                  | _ -> ());
-                  B.join ~into:global fork;
-                  let spec_ticks = B.ticks fork - ft0 in
+                | Some (slice, _) ->
+                  let spec_ticks = settle slice in
                   if snapshot_version = !version then
                     (Option.get proposals.(i), spec_ticks, false)
                   else begin
@@ -724,37 +717,22 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
                       stats.Rstats.service_reevals + 1;
                     if B.remaining global <= 0.0 then
                       (dead_proposal (), spec_ticks, true)
-                    else begin
-                      let fork2 =
-                        B.fork (B.sub ~time_limit:config.Config.slice global)
+                    else
+                      let slice, run =
+                        open_slice ~committed:!committed
+                          ~prices:(Option.map Pricing.copy price_state) ev
                       in
-                      let ft2 = B.ticks fork2 in
-                      let fprof2 =
-                        match config.Config.prof with
-                        | None -> None
-                        | Some _ -> Some (Span.create ~base:(B.ticks fork2) ())
-                      in
-                      let p =
-                        evaluate config inst assignments !committed req
-                          ~now:ev.Event.time
-                          ~prices:(Option.map Pricing.copy price_state)
-                          ~fork:fork2 ~fprof:fprof2
-                      in
-                      (match (config.Config.prof, fprof2) with
-                      | Some into, Some child ->
-                        Span.graft ~into ~at:(B.ticks global) child
-                      | _ -> ());
-                      B.join ~into:global fork2;
-                      (p, spec_ticks + (B.ticks fork2 - ft2), true)
-                    end
+                      let p = run ~worker:0 in
+                      (p, spec_ticks + settle slice, true)
                   end
               in
               Rstats.merge ~into:stats proposal.p_stats;
               if proposal.p_greedy <> None then
                 stats.Rstats.service_fallbacks <-
                   stats.Rstats.service_fallbacks + 1;
-              if proposal.p_admit then begin
-                let sol = Option.get proposal.p_solution in
+              let admitted = proposal.p_solution <> None in
+              (match proposal.p_solution with
+              | Some sol ->
                 Array.blit sol.Solution.assignments 0 assignments 0 k;
                 committed := !committed @ [ req ];
                 admit_rung.(req) <- proposal.p_rung;
@@ -771,33 +749,29 @@ let serve ?(config = Config.default) ?on_commit ?events inst =
                 reprice ();
                 stats.Rstats.service_admitted <-
                   stats.Rstats.service_admitted + 1;
-                match on_commit with
-                | Some f -> f req (current_solution ())
-                | None -> ()
-              end
-              else
-                stats.Rstats.service_denied <- stats.Rstats.service_denied + 1;
+                Option.iter (fun f -> f req (current_solution ())) on_commit
+              | None ->
+                stats.Rstats.service_denied <- stats.Rstats.service_denied + 1);
               records :=
                 {
                   request = req;
                   name = r.Request.name;
                   time = ev.Event.time;
                   event = Event.Arrival;
-                  admitted = proposal.p_admit;
+                  admitted;
                   rung = proposal.p_rung;
                   exact_status = proposal.p_exact;
                   greedy_status = proposal.p_greedy;
                   revenue =
-                    (if proposal.p_admit then
+                    (if admitted then
                        r.Request.duration *. Request.total_node_demand r
                      else 0.0);
                   priced_cost = proposal.p_priced_cost;
                   t_start =
-                    (if proposal.p_admit then assignments.(req).Solution.t_start
+                    (if admitted then assignments.(req).Solution.t_start
                      else nan);
                   t_end =
-                    (if proposal.p_admit then assignments.(req).Solution.t_end
-                     else nan);
+                    (if admitted then assignments.(req).Solution.t_end else nan);
                   ticks;
                   reevaluated;
                   moved = proposal.p_moved;
@@ -925,70 +899,41 @@ let record_to_json r =
 open Json.Syntax
 
 let record_of_json doc =
-  let floatf name = Result.bind (Json.field name doc) Json.decode_float in
-  let intf name =
-    match Json.member name doc with
-    | Some (Json.Num n) -> Ok (int_of_float n)
-    | _ -> Error (Printf.sprintf "missing integer %S" name)
-  in
-  let boolf name =
-    match Json.member name doc with
-    | Some (Json.Bool b) -> Ok b
-    | _ -> Error (Printf.sprintf "missing boolean %S" name)
-  in
   let status_opt name =
     match Json.member name doc with
     | None | Some Json.Null -> Ok None
-    | Some (Json.Str s) -> (
-      match Solver.status_of_string s with
-      | Some st -> Ok (Some st)
-      | None -> Error (Printf.sprintf "%s: unknown status %S" name s))
-    | Some _ -> Error (Printf.sprintf "%s: expected a string or null" name)
+    | Some _ ->
+      Result.map Option.some (Json.enum_field name Solver.status_of_string doc)
   in
-  let* version = intf "schema_version" in
+  let* version = Json.int_field "schema_version" doc in
   if version <> 1 && version <> schema_version then
     Error (Printf.sprintf "unsupported schema_version %d" version)
   else
-    let* request = intf "request" in
-    let* name =
-      match Json.member "name" doc with
-      | Some (Json.Str s) -> Ok s
-      | _ -> Error "missing \"name\""
-    in
+    let* request = Json.int_field "request" doc in
+    let* name = Json.string_field "name" doc in
     (* Version 1 called the event time "arrival" — every record was
        one. *)
-    let* time = if version = 1 then floatf "arrival" else floatf "time" in
+    let* time =
+      Json.float_field (if version = 1 then "arrival" else "time") doc
+    in
     let* event =
       if version = 1 then Ok Event.Arrival
-      else
-        match Json.member "event" doc with
-        | Some (Json.Str s) -> (
-          match Event.kind_of_string s with
-          | Some k -> Ok k
-          | None -> Error (Printf.sprintf "unknown event kind %S" s))
-        | _ -> Error "missing \"event\""
+      else Json.enum_field "event" Event.kind_of_string doc
     in
-    let* admitted = boolf "admitted" in
-    let* rung =
-      match Json.member "rung" doc with
-      | Some (Json.Str s) -> (
-        match rung_of_string s with
-        | Some r -> Ok r
-        | None -> Error (Printf.sprintf "unknown rung %S" s))
-      | _ -> Error "missing \"rung\""
-    in
+    let* admitted = Json.bool_field "admitted" doc in
+    let* rung = Json.enum_field "rung" rung_of_string doc in
     let* exact_status = status_opt "exact_status" in
     let* greedy_status = status_opt "greedy_status" in
-    let* revenue = floatf "revenue" in
+    let* revenue = Json.float_field "revenue" doc in
     let* priced_cost =
       match Json.member "priced_cost" doc with
       | None -> Ok nan
       | Some v -> Json.decode_float v
     in
-    let* t_start = floatf "t_start" in
-    let* t_end = floatf "t_end" in
-    let* ticks = intf "ticks" in
-    let* reevaluated = boolf "reevaluated" in
+    let* t_start = Json.float_field "t_start" doc in
+    let* t_end = Json.float_field "t_end" doc in
+    let* ticks = Json.int_field "ticks" doc in
+    let* reevaluated = Json.bool_field "reevaluated" doc in
     let* moved =
       match Json.member "moved" doc with
       | None -> Ok []

@@ -8,30 +8,33 @@
 
     + {b exact}: a cΣ branch-and-bound on the committed requests (pinned
       at their committed schedules) plus the arrival, on
-      [exact_fraction × slice] of the request's deadline;
-    + {b reconfigure} (optional): when the pinned solve {e proves} the
-      denial, re-optimize a bounded set of committed requests that have
-      not started yet — their acceptance forced, their start times free
+      [exact_fraction × slice] of the request's deadline.  A proved
+      optimum that rejects the arrival is a {e proven} denial;
+    + {b reconfigure} (optional): only after a proven exact denial, when
+      some committed request has not started yet, re-optimize a bounded
+      set of them — their acceptance forced, their start times free
       again, a move-cost term charging every unit of schedule
       displacement — so an admission enabled by migrations must pay for
-      them in-model;
-    + {b rounded} (optional): when the exact rung was skipped or
-      inconclusive, solve the cΣ LP relaxation of the pinned instance,
-      decompose the fractional solution into a convex combination of
-      start-time candidates ({!Tvnep.Rounding}) and round it with
-      validator-checked repair — a middle rung that keeps the LP's
-      global view at a fraction of the branch-and-bound's cost.  An
-      infeasible relaxation is a {e proven} denial, recorded at this
-      rung; repair exhaustion falls through to greedy;
-    + {b greedy}: on budget exhaustion or an inconclusive exact outcome,
-      the polynomial heuristic tries to admit the arrival around the
-      committed schedule, on whatever remains of the slice;
+      them in-model.  Without an admission the exact denial stands;
+    + {b rounded} (optional): only after an inconclusive exact outcome,
+      solve the cΣ LP relaxation of the pinned instance, decompose the
+      fractional solution into a convex combination of start-time
+      candidates ({!Tvnep.Rounding}) and round it with validator-checked
+      repair — a middle rung that keeps the LP's global view at a
+      fraction of the branch-and-bound's cost.  An infeasible relaxation
+      is a {e proven} denial, recorded at this rung; repair exhaustion
+      falls through to greedy;
+    + {b greedy}: while the outcome is still inconclusive, the polynomial
+      heuristic tries to admit the arrival around the committed schedule,
+      on whatever remains of the slice; a rejection by a complete scan
+      denies at this rung;
     + {b priced} (optional): any admission candidate that survives the
       validator is priced against the committed utilization
       ({!Pricing}); an arrival whose revenue does not cover the priced
       cost of its assignment is denied;
-    + {b deny}: a proven-infeasible exact outcome, a greedy rejection, or
-      an exhausted budget denies admission.
+    + {b budget}: an arrival whose slice runs out before any rung
+      concludes — or that finds the global budget already gone — is
+      denied.
 
     {b Departures} release committed capacity: every commit schedules an
     endogenous departure at its [t_end], and explicit [Departure] events
@@ -42,11 +45,13 @@
 
     Every admission is re-checked by {!Tvnep.Validator} against the full
     committed state before it commits; a solution that fails validation
-    falls down the chain instead of corrupting the substrate state.
+    is dropped — the rung's own verdict stands and the chain goes on —
+    instead of corrupting the substrate state.
 
-    Arrivals are admitted in {b batches} evaluated concurrently on a
-    {!Runtime.Pool} and merged deterministically in event order, exactly
-    like the branch-and-bound's node batches: every batch member is
+    Arrivals are admitted in speculative {b batches} at every [jobs]
+    level — evaluated concurrently on a {!Runtime.Pool} when [jobs > 1]
+    — and merged deterministically in event order, exactly like the
+    branch-and-bound's node batches: every batch member is
     evaluated speculatively against the batch-start state on a
     {!Runtime.Budget.fork} of its slice; at merge time the forks join the
     global budget in event order, departures due by each event's time are

@@ -300,10 +300,19 @@ let field name doc =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing field %S" name)
 
-let float_field name doc =
+let typed_field decode name doc =
   let* v = field name doc in
-  Result.map_error (fun e -> name ^ ": " ^ e) (decode_float v)
+  Result.map_error (fun e -> name ^ ": " ^ e) (decode v)
 
-let int_field name doc =
-  let* v = field name doc in
-  Result.map_error (fun e -> name ^ ": " ^ e) (decode_int v)
+let float_field = typed_field decode_float
+let int_field = typed_field decode_int
+
+let bool_field =
+  typed_field (function Bool b -> Ok b | _ -> Error "expected a boolean")
+
+let string_field =
+  typed_field (function Str s -> Ok s | _ -> Error "expected a string")
+
+let enum_field name of_string doc =
+  let* s = string_field name doc in
+  Option.to_result ~none:(Printf.sprintf "unknown %s %S" name s) (of_string s)

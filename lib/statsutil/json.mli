@@ -63,3 +63,16 @@ val float_field : string -> t -> (float, string) result
 val int_field : string -> t -> (int, string) result
 (** {!field} then {!decode_int}; errors are prefixed with the field
     name. *)
+
+val bool_field : string -> t -> (bool, string) result
+(** {!field}, which must be a [Bool]; errors are prefixed with the field
+    name. *)
+
+val string_field : string -> t -> (string, string) result
+(** {!field}, which must be a [Str]; errors are prefixed with the field
+    name. *)
+
+val enum_field :
+  string -> (string -> 'a option) -> t -> ('a, string) result
+(** [enum_field k of_string doc] is {!string_field} [k] decoded by
+    [of_string]; a string it does not know is [Error "unknown k \"s\""]. *)

@@ -145,9 +145,11 @@ let map_basis kb ~col_keys ~row_keys =
   else None
 
 (* One feasibility LP: flows for all participating requests, per-state link
-   capacities.  Returns the flows per request on success, with the optimal
-   basis keyed for the next LP.  [?warm] is the keyed basis of the last
-   accepted LP; the solve starts from its mapping when that is complete. *)
+   capacities, built and counted only when the node capacities admit the
+   participants.  Returns the flows per request on success, with the
+   optimal basis keyed for the next LP.  [?warm] is the keyed basis of the
+   last accepted LP; the solve starts from its mapping when that is
+   complete. *)
 let try_schedule ?lp_params ?budget ?stats ?prof ?warm inst participants =
   (* participants: (req, start, end) with fixed times; all embedded. *)
   let sub = inst.Instance.substrate in
@@ -166,6 +168,9 @@ let try_schedule ?lp_params ?budget ?stats ?prof ?warm inst participants =
   in
   if not (node_caps_ok inst active_sets) then None
   else begin
+    Option.iter
+      (fun st -> st.Rstats.greedy_lp_solves <- st.Rstats.greedy_lp_solves + 1)
+      stats;
     let model = Lp.Model.create ~name:"greedy-lp" () in
     let col_keys = ref [] and row_keys = ref [] in
     (* Flow variables and conservation per participating request. *)
@@ -309,7 +314,10 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
           ((Instance.request inst b).Request.start_min, b))
       (List.filter (fun i -> not (List.mem i preset)) (List.init k (fun i -> i)))
   in
-  let lp_solves = ref 0 and candidates_tried = ref 0 in
+  (* [try_schedule] counts the LPs it builds and solves; a candidate the
+     node-capacity pre-check rejects costs none. *)
+  let lp_solves0 = rstats.Rstats.greedy_lp_solves in
+  let candidates_tried = ref 0 in
   let accepted : accepted list ref = ref [] in
   (* Optimal basis of the last accepted LP: every later candidate LP
      warm-starts from it. *)
@@ -335,8 +343,6 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
           (req, start, start +. (Instance.request inst req).Request.duration))
         preplaced
     in
-    incr lp_solves;
-    rstats.Rstats.greedy_lp_solves <- rstats.Rstats.greedy_lp_solves + 1;
     match
       try_schedule ?lp_params ~budget ~stats:rstats ?prof inst participants
     with
@@ -369,8 +375,6 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
               (req, s, s +. d)
               :: List.map (fun a -> (a.a_req, a.a_start, a.a_end)) !accepted
             in
-            incr lp_solves;
-            rstats.Rstats.greedy_lp_solves <- rstats.Rstats.greedy_lp_solves + 1;
             match
               try_schedule ?lp_params ~budget ~stats:rstats ?prof
                 ?warm:!last_basis inst participants
@@ -415,4 +419,5 @@ let run ?lp_params ?budget ?stats ?prof ?(preplaced = []) inst =
   rstats.Rstats.greedy_accepted <-
     rstats.Rstats.greedy_accepted + List.length !accepted;
   ( solution,
-    { lp_solves = !lp_solves; candidates_tried = !candidates_tried; runtime } )
+    { lp_solves = rstats.Rstats.greedy_lp_solves - lp_solves0;
+      candidates_tried = !candidates_tried; runtime } )

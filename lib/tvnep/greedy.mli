@@ -24,7 +24,9 @@
     only the flows chosen among degenerate optima differ. *)
 
 type stats = {
-  lp_solves : int;       (** feasibility LPs attempted *)
+  lp_solves : int;
+      (** feasibility LPs built and solved — a candidate the node-capacity
+          pre-check rejects costs none *)
   candidates_tried : int;
   runtime : float;       (** budget-clock seconds *)
 }

@@ -783,11 +783,7 @@ let assignment_to_json (a : Solution.assignment) =
     ]
 
 let assignment_of_json doc =
-  let* accepted =
-    match Json.member "accepted" doc with
-    | Some (Json.Bool b) -> Ok b
-    | _ -> Error "assignment: missing boolean \"accepted\""
-  in
+  let* accepted = Json.bool_field "accepted" doc in
   let* node_map =
     match Option.bind (Json.member "node_map" doc) Json.to_list with
     | Some l ->
@@ -922,30 +918,14 @@ let outcome_of_json doc =
   if version <> schema_version then
     Error (Printf.sprintf "unsupported schema_version %d" version)
   else
-    let* status =
-      match Json.member "status" doc with
-      | Some (Json.Str s) -> (
-        match status_of_string s with
-        | Some st -> Ok st
-        | None -> Error (Printf.sprintf "unknown status %S" s))
-      | _ -> Error "missing \"status\""
-    in
-    let* method_used =
-      match Json.member "method" doc with
-      | Some (Json.Str s) -> (
-        match method_of_string s with
-        | Some m -> Ok m
-        | None -> Error (Printf.sprintf "unknown method %S" s))
-      | _ -> Error "missing \"method\""
-    in
+    let* status = Json.enum_field "status" status_of_string doc in
+    let* method_used = Json.enum_field "method" method_of_string doc in
     let* mip_status =
       match Json.member "mip_status" doc with
       | None | Some Json.Null -> Ok None
-      | Some (Json.Str s) -> (
-        match mip_status_of_string s with
-        | Some st -> Ok (Some st)
-        | None -> Error (Printf.sprintf "unknown mip_status %S" s))
-      | Some _ -> Error "mip_status: expected a string or null"
+      | Some _ ->
+        Result.map Option.some
+          (Json.enum_field "mip_status" mip_status_of_string doc)
     in
     let* objective =
       match Json.member "objective" doc with
@@ -967,11 +947,7 @@ let outcome_of_json doc =
         let* pricing_rounds = Json.int_field "pricing_rounds" c in
         let* master_flow_columns = Json.int_field "master_flow_columns" c in
         let* arc_flow_columns = Json.int_field "arc_flow_columns" c in
-        let* colgen_converged =
-          match Json.member "converged" c with
-          | Some (Json.Bool b) -> Ok b
-          | _ -> Error "colgen: missing boolean \"converged\""
-        in
+        let* colgen_converged = Json.bool_field "converged" c in
         Ok
           (Some
              {

@@ -214,17 +214,42 @@ let equivalence_tests =
             ~requests:(Array.sub [| mk "a" 0.0; mk "b" 0.3; mk "c" 0.6 |] 0 n)
             ~horizon:3.0 ()
         in
-        let counters n =
+        let counters inst =
           let stats = Runtime.Stats.create () in
-          ignore (Tvnep.Greedy.run ~stats (inst n));
-          (stats.Runtime.Stats.greedy_lp_solves,
-           stats.Runtime.Stats.greedy_warm_starts)
+          let sol, gstats = Tvnep.Greedy.run ~stats inst in
+          (* A greedy-only run solves exactly the LPs the greedy counts. *)
+          Alcotest.(check int) "greedy LPs = simplex solves"
+            stats.Runtime.Stats.lp_solves stats.Runtime.Stats.greedy_lp_solves;
+          Alcotest.(check int) "Greedy.stats agrees"
+            stats.Runtime.Stats.greedy_lp_solves gstats.Tvnep.Greedy.lp_solves;
+          ( Tvnep.Solution.num_accepted sol,
+            stats.Runtime.Stats.greedy_candidates,
+            stats.Runtime.Stats.greedy_lp_solves,
+            stats.Runtime.Stats.greedy_warm_starts )
         in
-        let lps, warm = counters 3 in
+        let _, _, lps, warm = counters (inst 3) in
         Alcotest.(check int) "three LPs" 3 lps;
         Alcotest.(check int) "warm starts = LPs - 1" (lps - 1) warm;
+        let _, _, lps, warm = counters (inst 1) in
         Alcotest.(check (pair int int)) "single-LP greedy starts cold" (1, 0)
-          (counters 1));
+          (lps, warm);
+        (* Node capacity 1 leaves room for one request on node 0 at a
+           time: b's first candidate (start 0, beside a) fails the
+           node-capacity pre-check and must cost no LP; b then fits at
+           a's end. *)
+        let tight =
+          Tvnep.Instance.make
+            ~node_mappings:[| [| 0; 1 |]; [| 0; 3 |] |]
+            ~substrate:
+              (Tvnep.Substrate.uniform g ~node_cap:1.0 ~link_cap:100.0)
+            ~requests:[| mk "a" 0.0; mk "b" 0.0 |]
+            ~horizon:3.0 ()
+        in
+        let accepted, candidates, lps, warm = counters tight in
+        Alcotest.(check int) "both admitted" 2 accepted;
+        Alcotest.(check int) "three candidates tried" 3 candidates;
+        Alcotest.(check int) "two LPs solved" 2 lps;
+        Alcotest.(check int) "the second warm-starts" 1 warm);
   ]
 
 let suite =

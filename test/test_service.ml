@@ -620,6 +620,124 @@ let stream_tests =
           (Tvnep.Validator.is_feasible inst s1.Engine.solution));
   ]
 
+(* The engine's span tree: one ["arrival"] span per slice, whose
+   children are the rungs that ran, in chain order, each possibly
+   followed by its ["validate"] gate. *)
+let span_tests =
+  let chain = [ "exact"; "reconfigure"; "rounded"; "greedy" ] in
+  let rec index x = function
+    | [] -> max_int
+    | y :: rest -> if x = y then 0 else 1 + index x rest
+  in
+  [
+    Alcotest.test_case "arrival spans tile the stream, rungs in chain order"
+      `Quick (fun () ->
+        (* Arrivals come early (half their window opening), so committed
+           requests have not started yet and a proven denial can reach
+           the reconfiguration rung; the tight slice sends others down
+           the rounded and greedy rungs. *)
+        let inst = scenario ~k:12 2L in
+        let events =
+          Service.Event.with_cancellations (Workload.Rng.create 9L) ~prob:0.3
+            inst
+            (List.map
+               (fun (e : Service.Event.t) ->
+                 { e with Service.Event.time = 0.5 *. e.Service.Event.time })
+               (Service.Event.arrivals inst))
+        in
+        let serve jobs =
+          let prof = Runtime.Span.create () in
+          let config =
+            Engine.Config.make ~slice:3e-4 ~exact_fraction:0.1
+              ~reconfigure:true ~rounding:true ~jobs ~prof ()
+          in
+          let s = Engine.serve ~config ~events inst in
+          (s, Runtime.Span.spans prof)
+        in
+        let s, spans = serve 1 in
+        (* Group the spans by slice: a depth-0 ["arrival"] span and its
+           depth-1 children, in entry order. *)
+        let slices =
+          List.fold_left
+            (fun acc (sp : Runtime.Span.span) ->
+              match (sp.Runtime.Span.depth, acc) with
+              | 0, _ ->
+                Alcotest.(check string) "top-level span" "arrival"
+                  sp.Runtime.Span.name;
+                (sp, []) :: acc
+              | 1, (arrival, kids) :: rest ->
+                (arrival, sp.Runtime.Span.name :: kids) :: rest
+              | _ -> acc)
+            [] spans
+          |> List.rev_map (fun (sp, kids) -> (sp, List.rev kids))
+        in
+        (* Every arrival record owns one slice, two when its speculative
+           result went stale, and its ticks are exactly their widths;
+           consecutive slices tile the global timeline. *)
+        let rest =
+          Array.fold_left
+            (fun slices (r : Engine.record) ->
+              if r.Engine.event <> Service.Event.Arrival then slices
+              else
+                let n = if r.Engine.reevaluated then 2 else 1 in
+                let own = List.filteri (fun i _ -> i < n) slices in
+                Alcotest.(check int)
+                  (Printf.sprintf "request %d: arrival spans = ticks"
+                     r.Engine.request)
+                  r.Engine.ticks
+                  (List.fold_left
+                     (fun acc ((sp : Runtime.Span.span), _) ->
+                       acc + sp.Runtime.Span.t1 - sp.Runtime.Span.t0)
+                     0 own);
+                List.filteri (fun i _ -> i >= n) slices)
+            slices s.Engine.records
+        in
+        Alcotest.(check int) "no slice left over" 0 (List.length rest);
+        ignore
+          (List.fold_left
+             (fun t ((sp : Runtime.Span.span), _) ->
+               Alcotest.(check int) "slices tile" t sp.Runtime.Span.t0;
+               sp.Runtime.Span.t1)
+             0 slices);
+        (* Children: rungs in chain order, each validate after a rung. *)
+        List.iter
+          (fun (_, kids) ->
+            ignore
+              (List.fold_left
+                 (fun last kid ->
+                   if kid = "validate" then begin
+                     Alcotest.(check bool) "validate follows a rung" true
+                       (last >= 0);
+                     last
+                   end
+                   else begin
+                     let i = index kid chain in
+                     Alcotest.(check bool)
+                       (kid ^ " is a rung, after " ^ string_of_int last)
+                       true
+                       (i < List.length chain && i > last);
+                     i
+                   end)
+                 (-1) kids))
+          slices;
+        let seen = List.concat_map snd slices in
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (name ^ " ran") true (List.mem name seen))
+          ("validate" :: chain);
+        (* The exported spans are jobs-invariant up to the domain tags. *)
+        let export spans =
+          Runtime.Span.to_jsonl
+            (List.map
+               (fun (sp : Runtime.Span.span) ->
+                 { sp with Runtime.Span.domain = 0 })
+               spans)
+        in
+        Alcotest.(check string) "jobs 1 and 2 export the same spans"
+          (export spans)
+          (export (snd (serve 2))));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* The LP-rounding rung: with [exact_fraction = 0] and [rounding] on,
    every arrival is decided by the relaxation-rounding pipeline (or its
@@ -747,5 +865,6 @@ let suite =
     ("service.lifecycle", release_tests @ reconfigure_tests);
     ("service.pricing", pricing_tests);
     ("service.streams", stream_tests);
+    ("service.spans", span_tests);
     ("service.rounding", rounding_tests);
   ]
